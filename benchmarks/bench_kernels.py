@@ -10,13 +10,7 @@ import numpy as np
 
 import repro.nn as nn
 import repro.nn.functional as F
-from repro.compression import (
-    CompressionPipeline,
-    pack_levels,
-    rle_decode,
-    rle_encode,
-    unpack,
-)
+from repro.compression import CompressionPipeline, pack_levels, unpack
 from repro.models import vgg_mini
 from repro.nn import Tensor
 from repro.nn.fused import fused_clip_quantize, try_compile
@@ -69,20 +63,8 @@ def test_batch_norm_training(benchmark):
     benchmark(lambda: F.batch_norm(x, gamma, beta, rm, rv, training=True))
 
 
-def test_rle_encode_sparse(benchmark):
-    levels = np.zeros(200_000, dtype=np.int64)
-    levels[RNG.choice(200_000, 5000, replace=False)] = RNG.integers(1, 16, 5000)
-    benchmark(lambda: rle_encode(levels))
-
-
-def test_rle_roundtrip(benchmark):
-    levels = np.zeros(50_000, dtype=np.int64)
-    levels[RNG.choice(50_000, 2500, replace=False)] = RNG.integers(1, 16, 2500)
-    benchmark(lambda: rle_decode(rle_encode(levels)))
-
-
 def test_packed_encode_sparse(benchmark):
-    """Levels -> one contiguous wire buffer (the shm-transport hot path)."""
+    """Levels -> one contiguous wire buffer (the result hot path)."""
     levels = np.zeros(200_000, dtype=np.int64)
     levels[RNG.choice(200_000, 5000, replace=False)] = RNG.integers(1, 16, 5000)
     benchmark(lambda: pack_levels(levels))

@@ -50,7 +50,7 @@ def main() -> None:
     with nn.no_grad():
         sep_out = fdsp_forward(fdsp.model.separable_part(), test.images[:16], fdsp.grid).data
     pipe = CompressionPipeline(result.bounds.lower, result.bounds.upper, bits=4)
-    ct = pipe.compress(sep_out)
+    ct = pipe.compress_packed(sep_out)
     print(f"\nConv-node output: {ct.raw_bits / 8000:.0f} kB -> {ct.compressed_bits / 8000:.1f} kB "
           f"({ct.ratio:.3f}x; paper Table 2: 0.011-0.056x)")
 

@@ -41,7 +41,7 @@ def main() -> None:
 
     # --- 2. Compression pipeline --------------------------------------------
     pipe = CompressionPipeline(lower=0.2, upper=2.0, bits=4)
-    compressed = pipe.compress(np.maximum(whole, 0))
+    compressed = pipe.compress_packed(np.maximum(whole, 0))
     print(f"\nConv-node output compression (clip + 4-bit quant + RLE):")
     print(f"  raw: {compressed.raw_bits / 8000:.1f} kB -> wire: {compressed.compressed_bits / 8000:.1f} kB "
           f"({compressed.ratio:.3f}x; paper Table 2: 0.011-0.056x)")

@@ -1,29 +1,23 @@
 """Communication compression of §4: clipped ReLU + quantization + RLE.
 
-Two codecs share one token model: the tuple-based :class:`RLEStream`
-(exact accounting, easy to inspect) and the packed byte-level wire format
-in :mod:`repro.compression.wire` (one contiguous ``uint8`` buffer — what
-actually crosses a transport).  ``payload_bits`` of the packed form equals
-``encoded_bits`` of the tuple form exactly.
+One codec: :mod:`repro.compression.wire` run-length encodes quantized
+levels straight into one contiguous ``uint8`` buffer — what actually
+crosses a transport — and :class:`CompressionPipeline` wraps it with the
+clip + quantize front half.  ``payload_bits`` of a packed buffer is the
+exact §4.3 token-stream size Table 2 accounts for; ``wire_bits`` is the
+measured size with header and padding.
 """
 
-from .pipeline import CompressedTensor, CompressionPipeline, PackedTensor, sparsity
+from .pipeline import CompressionPipeline, PackedTensor, sparsity
 from .quantize import UniformQuantizer
-from .rle import RLEStream, rle_decode, rle_encode, rle_encoded_bits
-from .wire import PackedStream, max_packed_nbytes, pack_levels, pack_stream, unpack
+from .wire import PackedStream, max_packed_nbytes, pack_levels, unpack
 
 __all__ = [
     "UniformQuantizer",
-    "RLEStream",
-    "rle_encode",
-    "rle_decode",
-    "rle_encoded_bits",
     "PackedStream",
     "pack_levels",
-    "pack_stream",
     "unpack",
     "max_packed_nbytes",
-    "CompressedTensor",
     "PackedTensor",
     "CompressionPipeline",
     "sparsity",

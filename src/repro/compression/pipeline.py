@@ -5,8 +5,8 @@ clipped ReLU (sparsify) → k-bit uniform quantization → run-length encoding.
 The pipeline is what a Conv node applies to its separable-stack output
 before transmission, and what the Central node inverts on receipt.  It is
 *lossy* once (clip + quantize) but the wire encoding itself is lossless, so
-``decompress(compress(x)) == clip-and-quantize(x)`` exactly — which is also
-exactly what the retrained model (Figure 7b) was trained to expect.
+``decompress(compress_packed(x)) == clip-and-quantize(x)`` exactly — which is
+also exactly what the retrained model (Figure 7b) was trained to expect.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import numpy as np
 from repro.nn.fused import fused_clip_quantize
 
 from .quantize import UniformQuantizer
-from .rle import RLEStream, rle_decode, rle_encode
 from .wire import PackedStream, pack_levels, unpack
 
-__all__ = ["CompressedTensor", "PackedTensor", "CompressionPipeline", "sparsity"]
+__all__ = ["PackedTensor", "CompressionPipeline", "sparsity"]
 
 
 def sparsity(x: np.ndarray) -> float:
@@ -31,15 +30,27 @@ def sparsity(x: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class CompressedTensor:
-    """A compressed activation map plus exact size accounting."""
+class PackedTensor:
+    """A compressed activation map serialized to real wire bytes.
 
-    stream: RLEStream
+    ``packed.buffer`` is the single contiguous ``uint8`` buffer that
+    actually crosses the transport, so ``wire_bits`` is measured
+    (``8 * nbytes``), not accounted, while ``compressed_bits`` reports the
+    token-stream size the paper's Table 2 accounts for.
+    """
+
+    packed: PackedStream
     raw_bits: int
 
     @property
     def compressed_bits(self) -> int:
-        return self.stream.encoded_bits
+        """Token-stream bits (flags + run counters + literals, no header)."""
+        return self.packed.payload_bits
+
+    @property
+    def wire_bits(self) -> int:
+        """Actual bytes-on-the-wire size, header and padding included."""
+        return self.packed.wire_bits
 
     @property
     def ratio(self) -> float:
@@ -51,45 +62,12 @@ class CompressedTensor:
         """Size if every element were shipped at ``value_bits`` with no RLE —
         the §4.2-only middle point (8x for 4-bit), isolating what §4.3's
         run-length coding adds on top."""
-        return self.stream.num_elements * self.stream.value_bits
+        return self.packed.num_elements * self.packed.value_bits
 
     @property
     def rle_gain(self) -> float:
         """quantized-dense / RLE size: the factor RLE alone contributes."""
         return self.quantized_dense_bits / self.compressed_bits if self.compressed_bits else 0.0
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.stream.shape
-
-
-@dataclass(frozen=True)
-class PackedTensor:
-    """A compressed activation map serialized to real wire bytes.
-
-    The byte-level twin of :class:`CompressedTensor`: ``packed.buffer`` is
-    the single contiguous ``uint8`` buffer that actually crosses the
-    transport, so ``wire_bits`` is measured (``8 * nbytes``), not
-    accounted, while ``compressed_bits`` still reports the token-stream
-    size for Table 2 comparability.
-    """
-
-    packed: PackedStream
-    raw_bits: int
-
-    @property
-    def compressed_bits(self) -> int:
-        """Token-stream bits — equals the tuple codec's ``encoded_bits``."""
-        return self.packed.payload_bits
-
-    @property
-    def wire_bits(self) -> int:
-        """Actual bytes-on-the-wire size, header and padding included."""
-        return self.packed.wire_bits
-
-    @property
-    def ratio(self) -> float:
-        return self.compressed_bits / self.raw_bits if self.raw_bits else 0.0
 
     @property
     def wire_ratio(self) -> float:
@@ -137,36 +115,21 @@ class CompressionPipeline:
             self.quantizer.level_dtype,
         )
 
-    def compress(self, x: np.ndarray) -> CompressedTensor:
-        """Full pipeline: clip → quantize → RLE."""
-        x = np.asarray(x, dtype=np.float32)
-        stream = rle_encode(self._levels(x), value_bits=self.quantizer.bits, run_bits=self.run_bits)
-        return CompressedTensor(stream=stream, raw_bits=x.size * 32)
-
     def compress_packed(self, x: np.ndarray) -> PackedTensor:
-        """Full pipeline straight to wire bytes: clip → quantize → pack.
-
-        Skips the tuple-based :class:`RLEStream` entirely; produces the
-        same levels (and the same ``compressed_bits``) as :meth:`compress`.
-        """
+        """Full pipeline straight to wire bytes: clip → quantize → RLE-pack."""
         x = np.asarray(x, dtype=np.float32)
         packed = pack_levels(self._levels(x), value_bits=self.quantizer.bits, run_bits=self.run_bits)
         return PackedTensor(packed=packed, raw_bits=x.size * 32)
 
     def decompress(
-        self,
-        ct: CompressedTensor | PackedTensor | PackedStream | bytes | bytearray | memoryview | np.ndarray,
+        self, pt: PackedTensor | PackedStream | bytes | bytearray | memoryview | np.ndarray
     ) -> np.ndarray:
         """Invert the wire encoding: decode → dequantize (float32).
 
-        Accepts a :class:`CompressedTensor`, a :class:`PackedTensor`, a
-        :class:`PackedStream`, or a raw packed buffer.
+        Accepts a :class:`PackedTensor`, a :class:`PackedStream`, or a raw
+        packed buffer.
         """
-        if isinstance(ct, CompressedTensor):
-            return self.quantizer.dequantize(rle_decode(ct.stream))
-        if isinstance(ct, PackedTensor):
-            return self.quantizer.dequantize(unpack(ct.packed))
-        return self.quantizer.dequantize(unpack(ct))
+        return self.quantizer.dequantize(unpack(pt.packed if isinstance(pt, PackedTensor) else pt))
 
     def measured_wire_bits(self, x: np.ndarray) -> int:
         """Actual packed-buffer size (bits) for ``x`` on the wire.
@@ -179,7 +142,7 @@ class CompressionPipeline:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """What the Central node sees: compress then decompress."""
-        return self.decompress(self.compress(x))
+        return self.decompress(self.compress_packed(x))
 
     def reference_values(self, x: np.ndarray) -> np.ndarray:
         """clip + quantize without the wire encoding (for equality tests)."""

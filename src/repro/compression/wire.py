@@ -1,11 +1,12 @@
 """Packed byte-level wire format for RLE streams (the *real* §4.3 bytes).
 
-:mod:`repro.compression.rle` models the token stream and its exact bit
-count, but an :class:`~repro.compression.rle.RLEStream` is a Python tuple
-of ``(is_zero, payload)`` pairs — pickling it over IPC costs far more than
-``encoded_bits`` promises.  This module serializes the same token stream
-into **one contiguous ``uint8`` buffer** so what crosses the wire is what
-Table 2 accounts for.
+The §4.3 wire format is a token stream over flattened level indices — a
+zero-run token (1 flag bit + ``run_bits`` counter, runs of 1 .. 2**run_bits
+zeros, longer runs split) or a literal token (1 flag bit + ``value_bits``
+non-zero level).  This module serializes that stream into **one contiguous
+``uint8`` buffer**, so what crosses the wire is what Table 2 accounts for.
+It is the only codec in ``src/``; ``tests/rle_oracle.py`` keeps a
+tuple-based reference implementation that the tests compare it against.
 
 Byte layout (little-endian)::
 
@@ -24,7 +25,7 @@ Byte layout (little-endian)::
 
 Each section is padded to a byte boundary, so::
 
-    payload_bits == RLEStream.encoded_bits          (exact, by construction)
+    payload_bits == exact §4.3 token-stream bits    (by construction)
     8 * nbytes   == header_bits + payload_bits + padding_bits
 
 Encode and decode are fully vectorized — token widths, bit scatter/gather,
@@ -37,12 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rle import RLEStream
-
 __all__ = [
     "PackedStream",
     "pack_levels",
-    "pack_stream",
     "unpack",
     "max_packed_nbytes",
 ]
@@ -89,7 +87,7 @@ class PackedStream:
 
     @property
     def payload_bits(self) -> int:
-        """Token-stream bits — equals ``RLEStream.encoded_bits`` exactly."""
+        """Token-stream bits: one flag per token plus its counter or literal."""
         return (
             self.n_tokens
             + self.n_zero_tokens * self.run_bits
@@ -220,10 +218,8 @@ def _assemble(
 def pack_levels(levels: np.ndarray, value_bits: int = 4, run_bits: int = 8) -> PackedStream:
     """Encode an integer level array straight into the packed wire format.
 
-    This is the hot path: it never materializes the tuple-based
-    :class:`RLEStream`.  Token structure (zero-run splitting at the
-    ``2**run_bits`` counter cap included) matches :func:`rle_encode`
-    exactly, so ``pack_levels(x).payload_bits == rle_encode(x).encoded_bits``.
+    Zero runs longer than the ``2**run_bits`` counter cap are split into
+    several tokens; every non-zero level is one literal token.
     """
     _validate_params(value_bits, run_bits)
     levels = np.asarray(levels)
@@ -266,46 +262,6 @@ def pack_levels(levels: np.ndarray, value_bits: int = 4, run_bits: int = 8) -> P
         (np.ones(total_z, dtype=bool), np.zeros(len(literal_pos), dtype=bool))
     )[order]
     return _assemble(shape, value_bits, run_bits, flags, run_lengths, literals)
-
-
-def pack_stream(stream: RLEStream) -> PackedStream:
-    """Serialize an existing :class:`RLEStream` (compatibility path).
-
-    Preserves the stream's exact token structure — entries above the
-    counter cap are split greedily, mirroring how ``encoded_bits`` counts
-    them — so ``pack_stream(s).payload_bits == s.encoded_bits`` for *any*
-    valid stream, hand-built ones included.
-    """
-    _validate_params(stream.value_bits, stream.run_bits)
-    max_run = 1 << stream.run_bits
-    flags: list[bool] = []
-    run_lengths: list[int] = []
-    lit_parts: list[np.ndarray] = []
-    n_lit = 0
-    for is_zero, payload in stream.runs:
-        if is_zero:
-            n = int(payload)
-            while n > 0:
-                chunk = min(n, max_run)
-                flags.append(True)
-                run_lengths.append(chunk)
-                n -= chunk
-        else:
-            arr = np.asarray(payload, dtype=np.int64).reshape(-1)
-            lit_parts.append(arr)
-            flags.extend([False] * len(arr))
-            n_lit += len(arr)
-    literals = np.concatenate(lit_parts) if lit_parts else np.zeros(0, dtype=np.int64)
-    if literals.size and literals.max() >= 2**stream.value_bits:
-        raise ValueError("literal does not fit in value_bits")
-    return _assemble(
-        tuple(stream.shape),
-        stream.value_bits,
-        stream.run_bits,
-        np.asarray(flags, dtype=bool),
-        np.asarray(run_lengths, dtype=np.int64),
-        literals,
-    )
 
 
 def unpack(packed: PackedStream | bytes | bytearray | memoryview | np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ def run(
             from repro.partition.fdsp import fdsp_forward
 
             out = fdsp_forward(fdsp.model.separable_part(), xs[:16], fdsp.grid).data
-        ct = pipe.compress(out)
+        ct = pipe.compress_packed(out)
         report.add(
             model=model_name,
             raw_kbits=ct.raw_bits / 1000,

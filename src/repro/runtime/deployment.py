@@ -9,7 +9,6 @@ from worker processes.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -87,45 +86,17 @@ class ADCNNDeployment:
         :meth:`serve_sharded`."""
         return ProcessClusterConfig(num_workers=num_workers, t_limit=t_limit, **kwargs)
 
-    def serve(
-        self,
-        config: ProcessClusterConfig | int | None = None,
-        t_limit: float | None = None,
-        **kwargs: Any,
-    ) -> ProcessCluster:
-        """A process cluster serving this deployment (context manager).
-
-        Pass an already-built :class:`ProcessClusterConfig`::
+    def serve(self, config: ProcessClusterConfig | None = None) -> ProcessCluster:
+        """A process cluster serving this deployment (context manager)::
 
             with deployment.serve(deployment.cluster_config(num_workers=4)) as cluster:
                 out = cluster.infer(image)
 
-        The legacy loose-kwargs form — ``serve(num_workers=4, t_limit=...)``
-        or a bare positional worker count — still works but is deprecated;
-        it funnels into :meth:`cluster_config` and warns.
+        ``config`` defaults to :meth:`cluster_config` with no overrides.
         """
-        if isinstance(config, ProcessClusterConfig):
-            if t_limit is not None or kwargs:
-                raise TypeError(
-                    "pass either a ProcessClusterConfig or loose kwargs, not both"
-                )
-            cfg = config
-        elif config is None and t_limit is None and not kwargs:
-            cfg = self.cluster_config()
-        else:
-            warnings.warn(
-                "ADCNNDeployment.serve(num_workers=..., t_limit=..., **kwargs) is "
-                "deprecated; build the config once with cluster_config() and pass it",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            num_workers = int(kwargs.pop("num_workers", 2 if config is None else config))
-            cfg = self.cluster_config(
-                num_workers=num_workers,
-                t_limit=30.0 if t_limit is None else t_limit,
-                **kwargs,
-            )
-        return ProcessCluster(self.model, self.grid, pipeline=self.pipeline, config=cfg)
+        return ProcessCluster(
+            self.model, self.grid, pipeline=self.pipeline, config=config or self.cluster_config()
+        )
 
     def serve_sharded(
         self, spec: "ShardedDeploymentSpec", telemetry: "Recorder | None" = None

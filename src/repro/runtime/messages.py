@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
+from repro.compression import PackedTensor
 from repro.telemetry.trace import TraceContext
 
 from .shm_arena import ShmRef
@@ -46,12 +47,12 @@ LOCAL_WORKER = -1
 class TileTask:
     """An input tile dispatched to a Conv node.
 
-    The tile data travels one of two ways: inline (``tile`` is the ndarray,
-    pickled with the message — the legacy ``transport="pickle"`` path) or
-    by reference (``tile is None`` and ``slot`` names a shared-memory slot
-    the Central node wrote — ``transport="shm"``, where the queue carries
-    only this small descriptor and the worker computes from a zero-copy
-    view of the slot).
+    The tile data travels one of two ways, chosen per message by
+    :mod:`repro.runtime.transport`: by reference (``tile is None`` and
+    ``slot`` names a shared-memory slot the Central node wrote, so the queue
+    carries only this small descriptor and the worker computes from a
+    zero-copy view of the slot) or inline (``tile`` is the ndarray, pickled
+    with the message) when no slot is available.
 
     ``probe`` marks a recovery-probe tile: a single tile handed to a node
     whose ``s_k`` statistic has decayed to zero so it can demonstrate it is
@@ -108,8 +109,11 @@ def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> l
 class TileResult:
     """A Conv node's intermediate result for one tile.
 
-    ``payload`` is a :class:`repro.compression.CompressedTensor` when the §4
-    pipeline is enabled, otherwise a raw ndarray.
+    ``payload`` is a :class:`repro.compression.PackedTensor` when the §4
+    pipeline is enabled, otherwise a raw ndarray; on the queue either may be
+    replaced by the :class:`ShmRef` of the result-ring slot holding its
+    bytes, which the Central node materializes back before accepting it.
+    ``None`` only on a ``dropped`` marker.
 
     Timing fields are measured worker-side and survive into the run result
     (``InferenceOutcome``) and telemetry spans instead of being dropped:
@@ -136,7 +140,7 @@ class TileResult:
 
     image_id: int
     tile_id: int
-    payload: Any
+    payload: PackedTensor | np.ndarray | ShmRef | None
     worker: int
     compute_seconds: float = 0.0
     compress_seconds: float = 0.0

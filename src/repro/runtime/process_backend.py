@@ -43,17 +43,15 @@ import multiprocessing as mp
 import queue as queue_mod
 import time
 from collections import deque
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from multiprocessing import shared_memory
-from multiprocessing.synchronize import Semaphore
 from typing import Any, TypedDict
 
 import numpy as np
 
 import repro.nn as nn
-from repro.compression import CompressionPipeline, PackedStream, PackedTensor, max_packed_nbytes
+from repro.compression import CompressionPipeline, PackedTensor, max_packed_nbytes
 from repro.models.blocks import PartitionableCNN
 from repro.nn import Tensor
 from repro.partition.geometry import (
@@ -97,20 +95,10 @@ from .controller import (
     TriggerMerge,
     WorkerDied,
     WorkerRevived,
-    busy_span_credits,
 )
 from .messages import LOCAL_WORKER, ArenaGrant, Shutdown, TileResult, TileTask, drain_queue
 from .policies import AllocationPolicy
-from .shm_arena import (
-    ShmRef,
-    SlotArena,
-    attach_array,
-    attach_slot,
-    close_attachments,
-    shm_available,
-    write_array,
-    write_bytes,
-)
+from .transport import CentralEndpoint, WorkerEndpoint
 
 class _ImageState(TypedDict):
     """Per-image in-flight bookkeeping (tiles, assignment map, results, timing).
@@ -128,8 +116,6 @@ class _ImageState(TypedDict):
     busy: np.ndarray
     wall: np.ndarray
     local: list[int]
-    task_slots: dict[int, shared_memory.SharedMemory]
-    task_refs: dict[int, ShmRef]
     enqueue_ts: dict[int, float]
     deadline: float
     start: float
@@ -140,49 +126,6 @@ class _ImageState(TypedDict):
 
 
 __all__ = ["ProcessClusterConfig", "InferenceOutcome", "ProcessCluster", "StreamEngine"]
-
-#: Transport modes: ``"shm"`` ships tile data through shared-memory slots
-#: (queues carry only descriptors); ``"pickle"`` is the legacy path where
-#: every tile/result is pickled whole through the queue.
-TRANSPORTS = ("shm", "pickle")
-
-
-def _stage_result(
-    payload: PackedTensor | np.ndarray,
-    grant: ArenaGrant,
-    attachments: dict[str, shared_memory.SharedMemory],
-    result_sem: Semaphore,
-    cursor: int,
-) -> tuple[PackedTensor | np.ndarray | ShmRef, int, bool]:
-    """Move a result's bytes into the worker's slot ring, if possible.
-
-    Returns ``(payload_or_descriptor, cursor, ring_fallback)``.  Falls back
-    to the inline (pickled) payload when the ring is full, the bytes outgrow
-    the slot, or the arena has vanished — correctness never depends on slot
-    capacity.  The ring-full probe is **non-blocking**: a slow-draining
-    Central node must never stall the worker (head-of-line blocking for
-    every queued tile behind this one); the fallback is reported so the
-    collect loop can count ring exhaustion in telemetry.
-    """
-    if isinstance(payload, PackedTensor):
-        data, raw_bits = payload.packed.buffer, payload.raw_bits
-    else:
-        data, raw_bits = np.ascontiguousarray(payload), 0
-    if data.nbytes > grant.slot_nbytes:
-        return payload, cursor, False
-    if not result_sem.acquire(block=False):
-        return payload, cursor, True  # central is slow to drain; ship inline
-    name = grant.slot_names[cursor % len(grant.slot_names)]
-    try:
-        shm = attach_slot(attachments, name)
-        if isinstance(payload, PackedTensor):
-            ref = write_bytes(shm, data, raw_bits=raw_bits)
-        else:
-            ref = write_array(shm, data)
-    except Exception:
-        result_sem.release()
-        return payload, cursor, False
-    return ref, cursor + 1, False
 
 
 def _drain_same_image(
@@ -217,14 +160,13 @@ def _worker_loop(
     task_queue: mp.Queue,
     result_queue: mp.Queue,
     delay_per_tile: float,
-    result_sem: Semaphore | None = None,
+    endpoint: WorkerEndpoint,
 ) -> None:
     """Conv-node main loop (runs in a forked child process).
 
-    Input tiles arrive either inline or as shared-memory descriptors (the
-    worker computes straight from a zero-copy view of the slot).  Results
-    go back through the worker's granted slot ring when one is available,
-    as packed codec bytes (pipeline on) or a raw array (pipeline off).
+    Input tiles are read from, and results staged through, the worker's
+    transport ``endpoint`` (:mod:`repro.runtime.transport`); a result is
+    packed codec bytes (pipeline on) or a raw array (pipeline off).
 
     All immediately-available tasks for the *same image* are coalesced into
     one stacked forward (identically-shaped tiles, DESIGN.md §5i) through
@@ -235,16 +177,13 @@ def _worker_loop(
     so the per-tile ``compute_seconds`` still sum exactly to the measured
     wall time (the telemetry invariant the tracing tests assert).
 
-    A task whose shm slot was unlinked under us (shutdown race) produces a
-    ``dropped`` marker result instead of vanishing silently, so the Central
-    node can count it; the tile itself stays unanswered and follows the
-    normal re-dispatch/zero-fill path.
+    A task whose tile cannot be read (its slot was unlinked under us in a
+    shutdown race) produces a ``dropped`` marker result instead of vanishing
+    silently, so the Central node can count it; the tile itself stays
+    unanswered and follows the normal re-dispatch/zero-fill path.
     """
     separable.eval()
     fused = nn.try_compile(separable)
-    attachments: dict[str, shared_memory.SharedMemory] = {}
-    grant: ArenaGrant | None = None
-    cursor = 0
     carry: Any = None
     try:
         while True:
@@ -255,20 +194,12 @@ def _worker_loop(
             if isinstance(msg, Shutdown):
                 break
             if isinstance(msg, ArenaGrant):
-                grant, cursor = msg, 0
+                endpoint.accept(msg)
                 continue
             assert isinstance(msg, TileTask)
             batch, carry = _drain_same_image(msg, task_queue)
             t_start = time.perf_counter()
-            tiles: list[np.ndarray | None] = []
-            for task in batch:
-                if task.tile is not None:
-                    tiles.append(task.tile)
-                else:
-                    try:
-                        tiles.append(attach_array(attachments, task.slot))
-                    except FileNotFoundError:
-                        tiles.append(None)  # slot unlinked under us: mark dropped
+            tiles = [endpoint.read(task) for task in batch]
             live = [t for t in tiles if t is not None]
             if delay_per_tile > 0 and live:
                 # Emulated slow device (cpulimit stand-in), one sleep for
@@ -309,21 +240,9 @@ def _worker_loop(
                     )
                     continue
                 out = next(out_iter)
-                if pipeline is not None:
-                    # With a slot ring granted, serialize to real wire bytes;
-                    # otherwise the legacy tuple codec rides the pickle channel.
-                    payload = (
-                        pipeline.compress_packed(out)
-                        if grant is not None
-                        else pipeline.compress(out)
-                    )
-                else:
-                    payload = out
-                ring_fallback = False
-                if grant is not None and result_sem is not None:
-                    payload, cursor, ring_fallback = _stage_result(
-                        payload, grant, attachments, result_sem, cursor
-                    )
+                payload, ring_fallback = endpoint.stage_result(
+                    pipeline.compress_packed(out) if pipeline is not None else out
+                )
                 now = time.perf_counter()
                 compress_seconds = now - prev
                 prev = now
@@ -344,12 +263,7 @@ def _worker_loop(
                 )
                 span_start = span_end
     finally:
-        close_attachments(attachments)
-
-
-#: The ``n_k`` fed to Algorithm 2 for this backend — the controller's
-#: ``"busy-span"`` credit mode, kept importable under its historical name.
-_rate_credits = busy_span_credits
+        endpoint.close()
 
 
 @dataclass(frozen=True)
@@ -366,25 +280,11 @@ class ProcessClusterConfig:
     restart_backoff_cap: float = 5.0
     probe_interval: int = 0        # images between recovery probes (0 = off)
     poll_interval: float = 0.05    # liveness-check cadence in the collect loop
-    #: Tile transport: ``"shm"`` (default) moves tile bytes through a
-    #: pre-allocated shared-memory slot arena and ships only descriptors
-    #: over the queues, falling back to ``"pickle"`` automatically where
-    #: POSIX shared memory is unavailable; ``"pickle"`` forces the legacy
-    #: pickled-ndarray path.
-    transport: str = "shm"
-    shm_slots: int = 0             # task-tile slots (0 = auto-size at first dispatch)
-    result_slots_per_worker: int = 4
     policy: str | AllocationPolicy = "greedy_min_max"  # allocation policy name
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("need at least one worker")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
-        if self.shm_slots < 0:
-            raise ValueError("shm_slots cannot be negative")
-        if self.result_slots_per_worker < 1:
-            raise ValueError("need at least one result slot per worker")
         if self.t_limit <= 0:
             raise ValueError("t_limit must be positive")
         if self.delay_per_tile and len(self.delay_per_tile) != self.num_workers:
@@ -476,10 +376,9 @@ class ProcessCluster:
         self._known_dead: set[int] = set()
         self._restart_counts: list[int] = []
         self._restart_at: list[float | None] = []
-        self._transport = self.config.transport
-        self._task_arena: SlotArena | None = None
-        self._result_arenas: list[SlotArena | None] = []
-        self._result_sems: list[Semaphore | None] = []
+        #: The Central half of the tile transport: the only thing here that
+        #: knows whether a tile rides a shared-memory slot or the queue.
+        self._endpoint = CentralEndpoint(self._ctx, self.config.num_workers)
 
     # ------------------------------------------------------------- controller
     def controller_config(self) -> ControllerConfig:
@@ -523,12 +422,7 @@ class ProcessCluster:
         self._known_dead = set()
         self._restart_counts = [0] * self.config.num_workers
         self._restart_at = [None] * self.config.num_workers
-        self._transport = self.config.transport
-        if self._transport == "shm" and not shm_available():
-            self._transport = "pickle"  # e.g. no /dev/shm in the sandbox
-        self._task_arena = None
-        self._result_arenas = [None] * self.config.num_workers
-        self._result_sems = [None] * self.config.num_workers
+        self._endpoint.probe()
         for wid in range(self.config.num_workers):
             self._task_queues.append(self._ctx.Queue())
             self._result_queues.append(self._ctx.Queue())
@@ -537,16 +431,11 @@ class ProcessCluster:
 
     @property
     def transport(self) -> str:
-        """Effective transport after the availability probe in :meth:`start`."""
-        return self._transport
+        """The transport endpoint's label for how tile bytes travel — what
+        :meth:`start` observed, not a setting (see ``CentralEndpoint.label``)."""
+        return self._endpoint.label
 
     def _spawn(self, worker_id: int) -> mp.Process:
-        # The result-ring semaphore must exist before fork so the child
-        # inherits it (mp.Semaphore cannot cross a queue).
-        if self._transport == "shm":
-            self._result_sems[worker_id] = self._ctx.Semaphore(
-                self.config.result_slots_per_worker
-            )
         proc = self._ctx.Process(
             target=_worker_loop,
             args=(
@@ -556,7 +445,7 @@ class ProcessCluster:
                 self._task_queues[worker_id],
                 self._result_queues[worker_id],
                 self._delays[worker_id],
-                self._result_sems[worker_id],
+                self._endpoint.worker_endpoint(worker_id),
             ),
             daemon=True,
         )
@@ -586,14 +475,7 @@ class ProcessCluster:
         self._known_dead.clear()
         # The Central process created every segment, so it unlinks every
         # segment — exactly once, after all workers are gone.
-        if self._task_arena is not None:
-            self._task_arena.destroy()
-            self._task_arena = None
-        for arena in self._result_arenas:
-            if arena is not None:
-                arena.destroy()
-        self._result_arenas = [None] * self.config.num_workers
-        self._result_sems = [None] * self.config.num_workers
+        self._endpoint.close()
 
     def kill_worker(self, worker_id: int) -> None:
         """Fail-stop a Conv node mid-run (fault-injection for tests)."""
@@ -638,7 +520,7 @@ class ProcessCluster:
             ),
             in_flight=self._controller.in_flight,
             window=self._controller.window,
-            transport=self._transport,
+            transport=self.transport,
             images_dispatched=self._image_counter,
         )
 
@@ -710,15 +592,8 @@ class ProcessCluster:
         # central assignment map, never the queue contents.
         self._task_queues[worker_id] = self._ctx.Queue()
         self._result_queues[worker_id] = self._ctx.Queue()
-        # Fresh result ring + fresh semaphore, for the same reason as the
-        # fresh queues: the dead incarnation may have died holding a permit,
-        # and its unread slot contents are unrecoverable anyway (the old
-        # result queue was just dropped).  The old segments are unlinked
-        # here; in-flight descriptors pointing at them lived only in the
-        # dropped queue, so nothing can still dereference them.
-        if self._result_arenas[worker_id] is not None:
-            self._result_arenas[worker_id].destroy()
-            self._result_arenas[worker_id] = None
+        # _spawn also hands the successor a fresh transport endpoint (fresh
+        # result ring + fresh semaphore), for the same reason.
         self._procs[worker_id] = self._spawn(worker_id)
         self._restart_counts[worker_id] += 1
         self._restart_at[worker_id] = None
@@ -727,125 +602,60 @@ class ProcessCluster:
             self._controller.handle(WorkerRevived(time.monotonic(), worker_id)), {}
         )
 
-    def _local_payload(self, tile: np.ndarray) -> Any:
-        """Central-node fallback: run the separable block in-process."""
-        if self._fused is not None:
-            out = self._fused(np.ascontiguousarray(tile))
-        else:
-            with nn.no_grad():
-                out = self._separable(Tensor(np.ascontiguousarray(tile))).data
-        return self.pipeline.compress(out) if self.pipeline is not None else out
+    def _compute_locally(
+        self,
+        image_id: int,
+        tile_ids: Iterable[int],
+        st: _ImageState,
+        inflight: dict[int, _ImageState],
+    ) -> None:
+        """Central-node fallback: run the separable block in-process.
 
-    # --------------------------------------------------------- shm transport
-    def _ensure_task_arena(self, tiles: list[np.ndarray], depth: int) -> None:
-        """Lazily size the task-slot arena off the first dispatched image."""
-        if self._transport != "shm" or self._task_arena is not None:
-            return
-        num = self.config.shm_slots or max(2 * len(tiles), len(tiles) * depth)
-        try:
-            self._task_arena = SlotArena(num, max(t.nbytes for t in tiles))
-        except Exception:
-            self._transport = "pickle"  # arena creation failed: degrade for good
-
-    def _ensure_result_grant(self, wid: int, sample_tile: np.ndarray) -> None:
-        """Create a worker's result ring and send its :class:`ArenaGrant`.
-
-        Slots are sized for the worst case — the raw float32 output or the
-        packed codec's :func:`max_packed_nbytes` bound, whichever is larger
-        — so a fallback to inline payloads only happens under back-pressure,
-        never because a well-formed result cannot fit.
+        The results take the same shape a worker's would (packed bytes when
+        the pipeline is on), so merge and wire-bit accounting see one format.
         """
-        if self._transport != "shm" or self._result_arenas[wid] is not None:
-            return
-        if self._result_sems[wid] is None:
-            return  # spawned before shm was enabled; inline results only
-        out_shape = self._tile_output_shape(sample_tile)
-        n_out = int(np.prod(out_shape))
-        nbytes = n_out * 4
-        if self.pipeline is not None:
-            nbytes = max(
-                nbytes,
-                max_packed_nbytes(
-                    n_out, len(out_shape), self.pipeline.bits, self.pipeline.run_bits
-                ),
+        for tid in tile_ids:
+            tile = np.ascontiguousarray(st["tiles"][tid])
+            if self._fused is not None:
+                out = self._fused(tile)
+            else:
+                with nn.no_grad():
+                    out = self._separable(Tensor(tile)).data
+            payload = self.pipeline.compress_packed(out) if self.pipeline is not None else out
+            st["results"][tid] = TileResult(image_id, tid, payload, LOCAL_WORKER)
+            st["assignment"][tid] = LOCAL_WORKER
+            st["local"].append(tid)
+            self._execute(
+                self._controller.handle(ResultReceived(time.monotonic(), image_id, LOCAL_WORKER)),
+                inflight,
             )
-        try:
-            arena = SlotArena(self.config.result_slots_per_worker, nbytes)
-        except Exception:
-            self._transport = "pickle"
-            return
-        self._result_arenas[wid] = arena
-        self._task_queues[wid].put(ArenaGrant(arena.names, arena.slot_nbytes))
 
-    def _make_task(self, st: _ImageState, image_id: int, tile_id: int, probe: bool = False) -> TileTask:
-        """Build a task message: slot descriptor when possible, else inline.
-
-        A tile keeps its slot across fault re-dispatch — the data is still
-        valid, so a re-queued task re-ships only the (tiny) descriptor.
-        """
-        tile = st["tiles"][tile_id]
+    def _enqueue(
+        self, node: int, image_id: int, tile_ids: Iterable[int], st: _ImageState, probe: bool = False
+    ) -> None:
+        """Queue tiles onto a worker (first dispatch or fault re-dispatch)."""
+        if self._endpoint.needs_ring(node):
+            # First work for this incarnation: size its result slots for the
+            # worst case — the raw float32 output or the packed codec's
+            # bound, whichever is larger.
+            out_shape = self._tile_output_shape(st["tiles"][0])
+            n_out = int(np.prod(out_shape))
+            nbytes = n_out * 4
+            if self.pipeline is not None:
+                nbytes = max(nbytes, max_packed_nbytes(
+                    n_out, len(out_shape), self.pipeline.bits, self.pipeline.run_bits))
+            self._endpoint.grant_ring(node, nbytes, self._task_queues[node])
         # Tasks carry the request's frozen trace context across the IPC
         # boundary; the worker echoes it back on the TileResult (§5h).
         scope = st["scope"]
         trace = scope.context() if scope is not None else None
-        if self._transport == "shm" and self._task_arena is not None:
-            ref = st["task_refs"].get(tile_id)
-            if ref is None and tile.nbytes <= self._task_arena.slot_nbytes:
-                slot = self._task_arena.acquire()
-                if slot is not None:
-                    ref = write_array(slot, tile)
-                    st["task_slots"][tile_id] = slot
-                    st["task_refs"][tile_id] = ref
-            if ref is not None:
-                return TileTask(image_id, tile_id, probe=probe, slot=ref, trace=trace)
-        return TileTask(image_id, tile_id, np.ascontiguousarray(tile), probe=probe, trace=trace)
-
-    def _release_task_slot(self, st: _ImageState, tile_id: int) -> None:
-        slot = st["task_slots"].pop(tile_id, None)
-        if slot is not None and self._task_arena is not None:
-            self._task_arena.release(slot)
-
-    def _release_image_slots(self, st: _ImageState) -> None:
-        """Reclaim every task slot an image still holds (finalize time)."""
-        if self._task_arena is not None:
-            for slot in st["task_slots"].values():
-                self._task_arena.release(slot)
-        st["task_slots"].clear()
-        st["task_refs"].clear()
-
-    def _materialize_result(self, res: TileResult) -> TileResult | None:
-        """Copy a shared-memory result out of its slot and free the slot.
-
-        Returns the result with its payload replaced by the materialized
-        object (:class:`PackedTensor` or ndarray), or ``None`` when the
-        descriptor points at a ring that no longer exists (a result from a
-        replaced worker incarnation — its tile was already re-dispatched).
-        """
-        payload = res.payload
-        if not isinstance(payload, ShmRef):
-            return res
-        wid = res.worker
-        arena = self._result_arenas[wid] if 0 <= wid < self.config.num_workers else None
-        slot = arena.get(payload.name) if arena is not None else None
-        if slot is None:
-            return None  # stale incarnation: do NOT touch the current semaphore
-        try:
-            if payload.kind == "packed":
-                buf = np.frombuffer(slot.buf, dtype=np.uint8, count=payload.nbytes).copy()
-                obj = PackedTensor(PackedStream.from_buffer(buf), raw_bits=payload.raw_bits)
-            else:
-                obj = np.ndarray(
-                    payload.shape, dtype=np.dtype(payload.dtype), buffer=slot.buf
-                ).copy()
-        except Exception:
-            obj = None
-        finally:
-            # Release only after the copy: the worker may reuse the slot
-            # the moment the permit returns.
-            sem = self._result_sems[wid]
-            if sem is not None:
-                sem.release()
-        return None if obj is None else replace(res, payload=obj)
+        for tid in tile_ids:
+            st["assignment"][tid] = node
+            if self.telemetry.enabled:
+                st["enqueue_ts"][tid] = time.perf_counter()
+            self._task_queues[node].put(
+                self._endpoint.task(image_id, tid, st["tiles"][tid], probe=probe, trace=trace)
+            )
 
     # -------------------------------------------------------------- inference
     def validate_image(self, image: np.ndarray) -> np.ndarray:
@@ -922,7 +732,8 @@ class ProcessCluster:
         # theirs until now).  A straggler worker may later read a
         # recycled slot and return garbage — harmless, because its
         # result carries this (now-retired) image_id and gets dropped.
-        self._release_image_slots(st)
+        for tile_id in range(len(st["tiles"])):
+            self._endpoint.release_task(image_id, tile_id)
         t_merge = time.perf_counter()
         out_tiles, missing = self._materialize_tiles(st["tiles"], st["results"])
         feature_map = reassemble_array(out_tiles, self.grid)
@@ -941,15 +752,11 @@ class ProcessCluster:
                      **(scope.child_fields() if scope is not None else {}))
             for res in st["results"].values():
                 payload = res.payload
-                # wire_bits first: a PackedTensor has both, and its
-                # measured buffer length is the honest wire count.
-                if hasattr(payload, "wire_bits") and hasattr(payload, "raw_bits"):
+                if isinstance(payload, PackedTensor):
+                    # The measured buffer length is the honest wire count.
                     tel.count("adcnn_bits_wire_total", payload.wire_bits, direction="down")
                     tel.count("adcnn_bits_raw_total", payload.raw_bits, direction="down")
-                elif hasattr(payload, "compressed_bits") and hasattr(payload, "raw_bits"):
-                    tel.count("adcnn_bits_wire_total", payload.compressed_bits, direction="down")
-                    tel.count("adcnn_bits_raw_total", payload.raw_bits, direction="down")
-                elif hasattr(payload, "nbytes"):
+                elif isinstance(payload, np.ndarray):
                     tel.count("adcnn_bits_wire_total", payload.nbytes * 8, direction="down")
                     tel.count("adcnn_bits_raw_total", payload.nbytes * 8, direction="down")
             latency = t_done - st["start"]
@@ -1057,35 +864,15 @@ class ProcessCluster:
         self, cmd: SendBatch, st: _ImageState, inflight: dict[int, _ImageState]
     ) -> None:
         """Dispatch one batch: enqueue tiles to a worker, or compute locally."""
+        tile_ids = range(st["next_tile"], st["next_tile"] + cmd.count)
+        st["next_tile"] += cmd.count
         if cmd.node == LOCAL_WORKER:
             # Graceful degradation: no worker can accept tiles, so the
             # central process runs the separable block itself.
-            for _ in range(cmd.count):
-                tile_id = st["next_tile"]
-                st["next_tile"] += 1
-                st["results"][tile_id] = TileResult(
-                    cmd.image_id, tile_id, self._local_payload(st["tiles"][tile_id]), LOCAL_WORKER
-                )
-                st["assignment"][tile_id] = LOCAL_WORKER
-                st["local"].append(tile_id)
-                self._execute(
-                    self._controller.handle(
-                        ResultReceived(time.monotonic(), cmd.image_id, LOCAL_WORKER)
-                    ),
-                    inflight,
-                )
+            self._compute_locally(cmd.image_id, tile_ids, st, inflight)
             return
-        self._ensure_result_grant(cmd.node, st["tiles"][0])
-        for _ in range(cmd.count):
-            tile_id = st["next_tile"]
-            st["next_tile"] += 1
-            st["assignment"][tile_id] = cmd.node
-            if self.telemetry.enabled:
-                st["enqueue_ts"][tile_id] = time.perf_counter()
-            self._task_queues[cmd.node].put(
-                self._make_task(st, cmd.image_id, tile_id, probe=cmd.probe)
-            )
-            st["ipc_tiles"] += 1
+        self._enqueue(cmd.node, cmd.image_id, tile_ids, st, probe=cmd.probe)
+        st["ipc_tiles"] += cmd.count
 
     def _redispatch(
         self, cmd: Redispatch, st: _ImageState, inflight: dict[int, _ImageState]
@@ -1096,28 +883,11 @@ class ProcessCluster:
         take, self._redispatch_tids[cmd.image_id] = pending[: cmd.count], pending[cmd.count:]
         if cmd.node == LOCAL_WORKER:
             # No survivors left: the central process computes the tiles.
-            for tid in take:
-                st["results"][tid] = TileResult(
-                    cmd.image_id, tid, self._local_payload(st["tiles"][tid]), LOCAL_WORKER
-                )
-                st["assignment"][tid] = LOCAL_WORKER
-                st["local"].append(tid)
-                self._execute(
-                    self._controller.handle(
-                        ResultReceived(time.monotonic(), cmd.image_id, LOCAL_WORKER)
-                    ),
-                    inflight,
-                )
+            self._compute_locally(cmd.image_id, take, st, inflight)
             return
-        self._ensure_result_grant(cmd.node, st["tiles"][0])
-        for tid in take:
-            if self.telemetry.enabled:
-                st["enqueue_ts"][tid] = time.perf_counter()
-            # A re-dispatched tile's slot data is still valid, so the
-            # re-queued task re-ships only the descriptor.
-            self._task_queues[cmd.node].put(self._make_task(st, cmd.image_id, tid))
-            st["assignment"][tid] = cmd.node
-            self.telemetry.count("adcnn_tiles_dispatched_total", node=f"worker{cmd.node}")
+        self._enqueue(cmd.node, cmd.image_id, take, st)
+        if take:
+            self.telemetry.count("adcnn_tiles_dispatched_total", len(take), node=f"worker{cmd.node}")
 
     def _sweep_results(self, inflight: dict[int, _ImageState]) -> bool:
         """Drain every worker's result channel; True if anything arrived."""
@@ -1149,14 +919,14 @@ class ProcessCluster:
                 # Materialize BEFORE any accept/drop decision: even a result
                 # we end up dropping must have its semaphore permit returned,
                 # or the worker's ring shrinks by one slot forever.
-                res = self._materialize_result(res)
+                res = self._endpoint.materialize(res)
                 if res is None:
                     continue  # descriptor from a replaced worker incarnation
                 target = inflight.get(res.image_id)
                 if target is None or res.tile_id in target["results"]:
                     continue  # stale image or duplicate after a re-dispatch race
                 target["results"][res.tile_id] = res
-                self._release_task_slot(target, res.tile_id)
+                self._endpoint.release_task(res.image_id, res.tile_id)
                 if 0 <= res.worker < self.config.num_workers:
                     target["received"][res.worker] += 1
                     target["busy"][res.worker] += res.compute_seconds
@@ -1220,13 +990,14 @@ class ProcessCluster:
         missing: list[int] = []
         for tile_id in range(len(tiles)):
             res = results.get(tile_id)
-            if res is None:
+            payload = res.payload if res is not None else None
+            if isinstance(payload, PackedTensor) and self.pipeline is not None:
+                out.append(self.pipeline.decompress(payload))
+            elif isinstance(payload, np.ndarray):
+                out.append(np.asarray(payload, dtype=np.float32))
+            else:
                 missing.append(tile_id)
                 out.append(np.zeros(shape, dtype=np.float32))
-            elif self.pipeline is not None:
-                out.append(self.pipeline.decompress(res.payload))
-            else:
-                out.append(np.asarray(res.payload, dtype=np.float32))
         return out, missing
 
     def _tile_output_shape(self, tile: np.ndarray) -> tuple[int, ...]:
@@ -1307,7 +1078,7 @@ class StreamEngine:
                 trace = cluster.mint_trace(t_partition)
             scope = TraceScope.from_context(trace)
         tiles = split_array(image, cluster.grid)
-        cluster._ensure_task_arena(tiles, cluster._controller.window)
+        cluster._endpoint.size_task_arena(tiles, cluster._controller.window)
         now = time.monotonic()
         alive = tuple(bool(a) for a in cluster._alive_mask())
         cmds = cluster._controller.handle(ImageReady(now, image_id, len(tiles), alive))
@@ -1332,8 +1103,6 @@ class StreamEngine:
             "busy": np.zeros(cluster.config.num_workers),
             "wall": np.zeros(cluster.config.num_workers),
             "local": [],
-            "task_slots": {},
-            "task_refs": {},
             "enqueue_ts": {},
             "deadline": now + cluster.config.t_limit,
             "start": start,

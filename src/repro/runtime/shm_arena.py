@@ -1,41 +1,24 @@
-"""Shared-memory slot arena for zero-copy tile transport (DESIGN.md §5d).
+"""Shared-memory slot arena: the storage layer of the tile transport (DESIGN.md §5d).
 
-With the default ``pickle`` queues, every input tile and result crosses the
-Central↔Conv "wire" as a pickled ndarray: serialize + pipe write + pipe
-read + unpickle, four copies of data whose *accounted* size (§4) is tiny.
-The arena replaces that with pre-allocated ``multiprocessing.shared_memory``
-slots: the Central node writes a tile into a slot **once**, the queue ships
-only a ~200-byte :class:`ShmRef` descriptor, and the worker computes
-straight from a NumPy view of the slot (zero copies on the read side).
-Results come back the same way: the worker writes packed codec bytes into
-one of its dedicated result slots and the descriptor rides the queue.
+Sent inline, an input tile or result crosses the Central↔Conv "wire" as a
+pickled object: serialize + pipe write + pipe read + unpickle, four copies
+of data whose *accounted* size (§4) is tiny.  The arena replaces that with
+pre-allocated ``multiprocessing.shared_memory`` slots: the writer copies the
+bytes into a slot **once**, the queue ships only a ~200-byte
+:class:`ShmRef` descriptor, and the reader works from a NumPy view of the
+slot (zero copies on the read side).
 
-Ownership and lifecycle:
+This module holds segments, descriptors and the attach/write helpers only
+(RL003 pins every ``SharedMemory`` construction here).  Which message uses
+a slot, the task-slot ledger and the per-worker result rings live in
+:mod:`repro.runtime.transport`, the sole user of the arena.
 
-- **All segments are created (and finally unlinked) by the Central
-  process** — workers only ever attach.  That gives a single unlink site,
-  so the POSIX resource tracker sees one register/unregister pair per
-  segment and shutdown is warning-free.
-- **Task slots** live in one :class:`SlotArena` whose free list is a plain
-  Central-side Python list: a slot is acquired at dispatch, *stays
-  assigned to its tile* across fault re-dispatch (the data is still
-  valid — a re-queued tile re-ships only the descriptor), and returns to
-  the free list when the tile's result arrives or its image finalizes.
-  A dead worker therefore can never leak a task slot: everything it owned
-  is reclaimed through the Central assignment map, exactly like PR 1's
-  tile re-dispatch.
-- **Result slots** are a small per-worker ring (again Central-created).
-  Back-pressure is a ``multiprocessing.Semaphore`` initialized to the ring
-  size and *inherited through fork*: the worker acquires before writing
-  slot ``cursor % R``, the Central node releases after copying the bytes
-  out.  Because the result queue is FIFO and releases happen in arrival
-  order, slot ``k % R`` is always free when acquire ``k`` succeeds.  A
-  worker killed while holding a permit simply gets a fresh ring + fresh
-  semaphore at respawn (mirroring the fresh-queue respawn rule).
-
-Every ``acquire``/``write`` degrades gracefully: when no slot is free or a
-payload outgrows its slot, callers fall back to inline pickle payloads, so
-``transport="shm"`` never blocks correctness on arena capacity.
+**All segments are created (and finally unlinked) by the Central process** —
+workers only ever attach.  That gives a single unlink site, so the POSIX
+resource tracker sees one register/unregister pair per segment and shutdown
+is warning-free.  An arena's free list is a plain Python list in its owning
+process; ``acquire`` returns ``None`` when it is empty and the caller falls
+back to an inline payload, so correctness never depends on arena capacity.
 """
 
 from __future__ import annotations
@@ -62,7 +45,7 @@ __all__ = [
 class ShmRef:
     """Picklable descriptor of bytes sitting in a shared-memory slot.
 
-    This is all that crosses the IPC queue in ``transport="shm"`` mode:
+    This is all that crosses the IPC queue for a slot-staged message:
     ``kind="raw"`` describes an ndarray (``shape``/``dtype`` set) and
     ``kind="packed"`` a self-describing packed-codec buffer of ``nbytes``
     (``raw_bits`` carries the pre-compression size for telemetry).
@@ -212,8 +195,8 @@ def close_attachments(cache: dict[str, shared_memory.SharedMemory]) -> None:
 
 
 def shm_available() -> bool:
-    """Probe POSIX shared memory once so ``transport="shm"`` can degrade
-    to pickle where /dev/shm is absent (some containers/sandboxes)."""
+    """Probe POSIX shared memory, so the transport can go inline-only where
+    /dev/shm is absent (some containers/sandboxes)."""
     try:
         probe = shared_memory.SharedMemory(create=True, size=1)
         probe.close()

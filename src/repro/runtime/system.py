@@ -237,7 +237,7 @@ class ADCNNSystem:
         self.config = config or ADCNNConfig()
         self.shared_medium = shared_medium
         self.rng = rng
-        #: Telemetry sink (``TelemetryRecorder``/``TraceRecorder``); events
+        #: Telemetry sink (``TelemetryRecorder``); events
         #: carry *sim-time* seconds but use the same schema as the process
         #: backend's wall-clock spans.  Defaults to the zero-cost no-op.
         self.telemetry = telemetry if telemetry is not None else NullRecorder()

@@ -1,7 +1,7 @@
 """Open-loop, multi-client serving front-end (DESIGN.md §5g, §5k).
 
 The front-end drives any :class:`~repro.sharding.ClusterHandle` — one
-adopted :class:`~repro.runtime.ProcessCluster` or a
+:class:`~repro.runtime.ProcessCluster` behind its handle or a
 :class:`~repro.sharding.ClusterRouter` spanning N of them.
 :class:`~repro.sharding.ClusterFailed` is re-exported here because it is
 part of the serving contract: a submission's future resolves with it when

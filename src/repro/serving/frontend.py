@@ -12,7 +12,7 @@ decision logic (DESIGN.md §5g):
   them through a :class:`~repro.sharding.ClusterHandle` — the
   controller's Figure-9 pipelining window *is* the admission-control
   signal, so in-flight concurrency never exceeds the window.  The handle
-  seam (DESIGN.md §5k) means the same driver loop serves one adopted
+  seam (DESIGN.md §5k) means the same driver loop serves one
   :class:`ProcessCluster` or a whole
   :class:`~repro.sharding.ClusterRouter` of them — the front-end holds no
   hardcoded "the cluster" reference.
@@ -44,13 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.runtime.process_backend import InferenceOutcome, ProcessCluster
-from repro.sharding.handle import (
-    ClusterDown,
-    ClusterHandle,
-    ProcessClusterHandle,
-    ShardFailure,
-)
+from repro.runtime.process_backend import InferenceOutcome
+from repro.sharding.handle import ClusterDown, ClusterHandle, ShardFailure
 from repro.telemetry import (
     ClusterHealth,
     RouterHealth,
@@ -92,6 +87,8 @@ class ServingConfig:
     """Front-end knobs; the cluster's own config governs everything below."""
 
     #: Controller pipelining window (images in flight; Figure 9 overlap).
+    #: The handle enforces it (build it with the same ``window=``); the
+    #: front-end only follows the handle's ``can_dispatch``.
     window: int = 2
     #: Bounded admission-queue capacity; arrivals beyond it are shed with
     #: :class:`Overloaded`.  Queue + window bound the worst-case sojourn.
@@ -164,35 +161,20 @@ class _Pending:
 class ServingFrontEnd:
     """Long-lived open-loop serving loop around one :class:`ClusterHandle`.
 
-    Accepts either a raw (unstarted) :class:`ProcessCluster` — adopted
-    behind a :class:`~repro.sharding.ProcessClusterHandle`, the legacy
-    single-cluster path — or any :class:`ClusterHandle`, including a
+    Accepts any :class:`ClusterHandle`: a single cluster from
+    :func:`~repro.sharding.make_cluster_handle` or a
     :class:`~repro.sharding.ClusterRouter` spanning N clusters.  Use as a
     context manager; the front-end owns the handle's lifecycle end to end::
 
-        cluster = ProcessCluster(model, "2x2", pipeline, config)
-        with ServingFrontEnd(cluster, ServingConfig(window=2)) as fe:
+        handle = make_cluster_handle(model, "2x2", pipeline=pipeline, config=config, window=2)
+        with ServingFrontEnd(handle, ServingConfig(window=2)) as fe:
             session = fe.session("camera-3")
             result = await session.submit(image)
     """
 
-    def __init__(
-        self,
-        cluster: ProcessCluster | ClusterHandle,
-        config: ServingConfig | None = None,
-    ) -> None:
+    def __init__(self, handle: ClusterHandle, config: ServingConfig | None = None) -> None:
         self.config = config or ServingConfig()
-        if isinstance(cluster, ProcessCluster):
-            # Adoption, not construction (RL016): the front-end never builds
-            # clusters itself, it wraps what the caller provides.
-            self._handle: ClusterHandle = ProcessClusterHandle.adopt(
-                cluster, window=self.config.window
-            )
-            #: The wrapped single cluster (None when driving a router/handle).
-            self.cluster: ProcessCluster | None = cluster
-        else:
-            self._handle = cluster
-            self.cluster = None
+        self._handle = handle
         self._queue: queue.Queue[_Pending] = queue.Queue(maxsize=self.config.queue_capacity)
         self._stats: dict[str, ClientStats] = {}
         self._stats_lock = threading.Lock()

@@ -154,14 +154,12 @@ class ProcessClusterHandle:
     Built from a zero-argument *factory* rather than an instance, so the
     router's supervision can tear a failed cluster down and build a fresh
     incarnation (:meth:`restart`) — the same recipe every time, fresh
-    processes and arenas.  :meth:`adopt` wraps an existing cluster instead
-    (the legacy single-cluster serving path); adopted handles are not
-    restartable.
+    processes and arenas.
     """
 
     def __init__(
         self,
-        factory: Callable[[], ProcessCluster] | None,
+        factory: Callable[[], ProcessCluster],
         *,
         name: str = "cluster0",
         window: int = 2,
@@ -177,32 +175,13 @@ class ProcessClusterHandle:
         self._dead = False
         self._restarts = 0
 
-    @classmethod
-    def adopt(
-        cls, cluster: ProcessCluster, *, name: str = "cluster0", window: int = 2
-    ) -> "ProcessClusterHandle":
-        """Wrap an already-built (but not started) cluster; not restartable."""
-        if cluster._procs:
-            raise RuntimeError(
-                "cluster is already started — the handle owns the lifecycle"
-            )
-        handle = cls(None, name=name, window=window)
-        handle._cluster = cluster
-        return handle
-
     # -------------------------------------------------------------- lifecycle
     @property
     def cluster(self) -> ProcessCluster:
-        """The current incarnation (built on first touch for factory handles)."""
+        """The current incarnation (built on first touch)."""
         if self._cluster is None:
-            if self._factory is None:  # pragma: no cover - adopt always sets it
-                raise RuntimeError(f"{self.name}: handle has neither cluster nor factory")
             self._cluster = self._factory()
         return self._cluster
-
-    @property
-    def restartable(self) -> bool:
-        return self._factory is not None
 
     @property
     def restarts(self) -> int:
@@ -228,13 +207,10 @@ class ProcessClusterHandle:
         self._engine = None
         if self._cluster is not None:
             self._cluster.stop()
-            if self._factory is not None:
-                self._cluster = None  # next start() builds a fresh incarnation
+            self._cluster = None  # next start() builds a fresh incarnation
 
     def restart(self) -> "ProcessClusterHandle":
         """Tear down the dead incarnation and build a fresh one."""
-        if self._factory is None:
-            raise ClusterDown(self.name, "adopted cluster is not restartable")
         if self._cluster is not None:
             try:
                 self._cluster.stop()

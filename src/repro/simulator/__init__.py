@@ -13,7 +13,6 @@ from .core import Simulator
 from .events import Event, EventQueue
 from .network import Link, Medium
 from .node import CpuSchedule, SimNode
-from .trace import TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -23,7 +22,6 @@ __all__ = [
     "CpuSchedule",
     "Link",
     "Medium",
-    "TraceRecorder",
     "StageBreakdown",
     "SaturationPoint",
     "stage_breakdown",

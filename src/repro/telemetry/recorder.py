@@ -198,9 +198,8 @@ class LabeledRecorder:
 class TelemetryRecorder:
     """In-memory telemetry sink: chronological events + a metrics registry.
 
-    Subsumes the old ``repro.simulator.TraceRecorder`` (which is now an
-    alias): ``record(time, kind, **fields)`` appends a generic event,
-    ``span`` appends a duration-carrying stage event *and* feeds the
+    ``record(time, kind, **fields)`` appends a generic event, ``span``
+    appends a duration-carrying stage event *and* feeds the
     ``adcnn_stage_seconds`` histogram so per-stage breakdowns come for
     free.  Export via :mod:`repro.telemetry.export` or the convenience
     ``write_*`` methods.

@@ -136,16 +136,21 @@ def _run_demo(
 
     from repro.compression import CompressionPipeline
     from repro.models import vgg_mini
-    from repro.runtime import ProcessCluster, ProcessClusterConfig
+    from repro.runtime import ProcessClusterConfig
     from repro.serving import ServingConfig, ServingFrontEnd
+    from repro.sharding import (
+        ClusterHandle,
+        ShardedDeploymentSpec,
+        build_router,
+        make_cluster_handle,
+    )
 
     from .recorder import TelemetryRecorder
 
     model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
     rng = np.random.default_rng(0)
+    driven: ClusterHandle
     if shards > 1:
-        from repro.sharding import ShardedDeploymentSpec, build_router
-
         spec = ShardedDeploymentSpec.homogeneous(shards, num_workers=num_workers)
         driven = build_router(
             model, "2x2", spec, pipeline=CompressionPipeline(),
@@ -153,9 +158,9 @@ def _run_demo(
         )
     else:
         config = ProcessClusterConfig(num_workers=num_workers, t_limit=30.0)
-        driven = ProcessCluster(
+        driven = make_cluster_handle(
             model, "2x2", pipeline=CompressionPipeline(), config=config,
-            telemetry=TelemetryRecorder(),
+            telemetry=TelemetryRecorder(), window=2,
         )
     frontend = ServingFrontEnd(driven, ServingConfig(window=2 * shards, queue_capacity=8))
 

@@ -1,4 +1,9 @@
-"""Run-length encoding of sparse quantized activations (§4.3, Figure 6).
+"""Tuple-stream RLE: the bit-accounting oracle for ``repro.compression.wire``.
+
+Test-only reference implementation of §4.3 (Figure 6), kept off the import
+path of every worker: it was the production codec until the packed byte
+format replaced it, and the tests pin ``pack_levels(x).payload_bits ==
+rle_encode(x).encoded_bits`` and decode equality against it.
 
 The wire format is a token stream over flattened level indices:
 
@@ -9,10 +14,7 @@ The wire format is a token stream over flattened level indices:
 Encoding is lossless over level indices and vectorized end to end: run
 boundaries come from ``np.diff`` on the zero mask, counter-cap splitting
 and literal slicing are array ops, and the remaining Python work is a
-single list interleave over precomputed entries.  The *byte-level*
-serialization of this token stream lives in
-:mod:`repro.compression.wire` (``pack_levels`` / ``unpack``), whose
-``payload_bits`` equals :attr:`RLEStream.encoded_bits` exactly.
+single list interleave over precomputed entries.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
-"""Tests for the §4 compression pipeline: quantizer, RLE, end-to-end."""
+"""Tests for the §4 compression pipeline: quantizer, the tuple-stream RLE
+oracle (``tests/rle_oracle.py``) the packed codec is checked against, and
+the pipeline end-to-end."""
 
 import numpy as np
 import pytest
@@ -6,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression import (
-    CompressionPipeline,
-    UniformQuantizer,
-    rle_decode,
-    rle_encode,
-    rle_encoded_bits,
-    sparsity,
-)
+from rle_oracle import rle_decode, rle_encode, rle_encoded_bits
+
+from repro.compression import CompressionPipeline, UniformQuantizer, sparsity
 
 RNG = np.random.default_rng(23)
 
@@ -175,13 +172,13 @@ class TestCompressionPipeline:
         """Figure 6: ReLU_(0.2,2) + quantize + RLE on a 4x4 ofmap."""
         pipe = CompressionPipeline(lower=0.2, upper=2.0, bits=4)
         ofmap = RNG.uniform(-1, 3, size=(4, 4)).astype(np.float32)
-        ct = pipe.compress(ofmap)
+        ct = pipe.compress_packed(ofmap)
         out = pipe.decompress(ct)
         assert out.shape == (4, 4)
         assert out.min() >= 0 and out.max() <= 1.8 + 1e-6
 
     def test_wire_encoding_lossless(self):
-        """decompress(compress(x)) must equal clip+quantize(x) exactly."""
+        """decompress(compress_packed(x)) must equal clip+quantize(x) exactly."""
         pipe = CompressionPipeline(lower=0.1, upper=2.5, bits=4)
         x = RNG.normal(size=(3, 8, 8)).astype(np.float32)
         np.testing.assert_array_equal(pipe.apply(x), pipe.reference_values(x))
@@ -202,14 +199,14 @@ class TestCompressionPipeline:
 
     def test_raising_lower_bound_increases_sparsity_and_compression(self):
         x = RNG.uniform(0, 2, size=(50, 50)).astype(np.float32)
-        loose = CompressionPipeline(lower=0.0, upper=2.0).compress(x)
-        tight = CompressionPipeline(lower=1.0, upper=2.0).compress(x)
+        loose = CompressionPipeline(lower=0.0, upper=2.0).compress_packed(x)
+        tight = CompressionPipeline(lower=1.0, upper=2.0).compress_packed(x)
         assert tight.compressed_bits < loose.compressed_bits
 
     def test_ratio_accounting(self):
         pipe = CompressionPipeline(lower=0.0, upper=1.0)
         x = np.zeros((10, 10), dtype=np.float32)
-        ct = pipe.compress(x)
+        ct = pipe.compress_packed(x)
         assert ct.raw_bits == 100 * 32
         assert ct.ratio == ct.compressed_bits / ct.raw_bits
         assert ct.ratio < 0.01  # all-zero map compresses ~300x
@@ -220,7 +217,7 @@ class TestCompressionPipeline:
         x = np.maximum(RNG.normal(loc=-1.2, scale=1.0, size=(64, 24, 24)), 0).astype(np.float32)
         assert sparsity(x) > 0.8
         pipe = CompressionPipeline(lower=0.2, upper=2.0, bits=4)
-        ct = pipe.compress(x)
+        ct = pipe.compress_packed(x)
         assert ct.ratio < 0.07
 
     def test_invalid_bounds(self):
@@ -231,7 +228,7 @@ class TestCompressionPipeline:
         """4-bit dense = 1/8 of raw; RLE gains more on sparse maps."""
         pipe = CompressionPipeline(lower=0.3, upper=2.0, bits=4)
         x = np.maximum(RNG.normal(loc=-1.0, size=(32, 16, 16)), 0).astype(np.float32)
-        ct = pipe.compress(x)
+        ct = pipe.compress_packed(x)
         assert ct.quantized_dense_bits == x.size * 4
         assert ct.quantized_dense_bits == ct.raw_bits // 8
         assert ct.rle_gain > 1.0  # the sparse map compresses past 4-bit dense

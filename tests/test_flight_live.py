@@ -215,13 +215,16 @@ class TestLiveSnapshotsIntegration:
         import concurrent.futures
 
         from repro.models import vgg_mini
-        from repro.runtime import ProcessCluster, ProcessClusterConfig
+        from repro.runtime import ProcessClusterConfig
         from repro.serving import ServingConfig, ServingFrontEnd
+        from repro.sharding import make_cluster_handle
 
         model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
         rng = np.random.default_rng(5)
         cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0)
-        cluster = ProcessCluster(model, "2x2", config=cfg, telemetry=TelemetryRecorder())
+        cluster = make_cluster_handle(
+            model, "2x2", config=cfg, telemetry=TelemetryRecorder(), window=2
+        )
         with ServingFrontEnd(cluster, ServingConfig(window=2, queue_capacity=4)) as fe:
             futures = [fe.submit(rng.normal(size=(1, 3, 24, 24)).astype(np.float32),
                                  client="cam0") for _ in range(3)]

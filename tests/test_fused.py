@@ -114,16 +114,18 @@ class TestFusedClipQuantize:
         assert got.dtype == expected.dtype
 
     def test_pipeline_levels_route_through_fusion(self):
-        """compress/compress_packed produce the same streams as the seed
-        clip→quantize→encode composition."""
-        from repro.compression.rle import rle_decode, rle_encode
+        """compress_packed produces the same stream as the seed
+        clip→quantize→encode composition over the oracle codec."""
+        from rle_oracle import rle_decode, rle_encode
+
+        from repro.compression import unpack
 
         pipe = CompressionPipeline(bits=4)
         x = RNG.normal(scale=3.0, size=(1, 4, 12, 12)).astype(np.float32)
         seed_stream = rle_encode(
             pipe.quantizer.quantize(pipe.clip(x)), value_bits=4, run_bits=pipe.run_bits
         )
-        got_stream = pipe.compress(x).stream
-        assert got_stream.encoded_bits == seed_stream.encoded_bits
-        np.testing.assert_array_equal(rle_decode(got_stream), rle_decode(seed_stream))
+        got = pipe.compress_packed(x)
+        assert got.compressed_bits == seed_stream.encoded_bits
+        np.testing.assert_array_equal(unpack(got.packed), rle_decode(seed_stream))
         np.testing.assert_array_equal(pipe.apply(x), pipe.reference_values(x))

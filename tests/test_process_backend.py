@@ -107,33 +107,33 @@ class TestRateCredits:
     """The n_k computation shared conceptually with the DES backend."""
 
     def test_full_delivery_credits_rate(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
         received = np.array([4, 4])
         alloc = np.array([4, 4])
         busy = np.array([0.5, 1.0])  # worker 0 twice as fast
-        credits = _rate_credits(received, alloc, busy, window=1.0, num_tiles=8)
+        credits = busy_span_credits(received, alloc, busy, window=1.0, num_tiles=8)
         assert credits[0] == pytest.approx(2 * credits[1])
 
     def test_missed_deadline_raw_count(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
         received = np.array([4, 1])
         alloc = np.array([4, 4])
         busy = np.array([0.5, 1.0])
-        credits = _rate_credits(received, alloc, busy, window=1.0, num_tiles=8)
+        credits = busy_span_credits(received, alloc, busy, window=1.0, num_tiles=8)
         assert credits[1] == 1.0  # paper rule: count within the window
 
     def test_zero_received_zero_credit(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
-        credits = _rate_credits(np.array([3, 0]), np.array([3, 3]), np.array([0.3, 0.0]), 1.0, 6)
+        credits = busy_span_credits(np.array([3, 0]), np.array([3, 3]), np.array([0.3, 0.0]), 1.0, 6)
         assert credits[1] == 0.0
 
     def test_credit_capped_at_tiles(self):
-        from repro.runtime.process_backend import _rate_credits
+        from repro.runtime.controller import busy_span_credits
 
-        credits = _rate_credits(np.array([4]), np.array([4]), np.array([1e-6]), 10.0, 8)
+        credits = busy_span_credits(np.array([4]), np.array([4]), np.array([1e-6]), 10.0, 8)
         assert credits[0] == 8.0
 
 
@@ -185,14 +185,16 @@ class TestWorkerCoalescing:
 
         from repro.runtime.messages import Shutdown
         from repro.runtime.process_backend import _worker_loop
+        from repro.runtime.transport import WorkerEndpoint
 
         tq, rq = queue.Queue(), queue.Queue()
         for t in tasks:
             tq.put(t)
         tq.put(Shutdown())
         sep = model.separable_part()
+        endpoint = WorkerEndpoint(None)  # no result ring: every result inline
         th = threading.Thread(
-            target=_worker_loop, args=(0, sep, pipeline, tq, rq, delay), daemon=True
+            target=_worker_loop, args=(0, sep, pipeline, tq, rq, delay, endpoint), daemon=True
         )
         th.start()
         th.join(timeout=30)

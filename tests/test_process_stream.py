@@ -9,6 +9,7 @@ from repro.models import vgg_mini
 from repro.nn import Tensor
 from repro.partition import FDSPModel, TileGrid
 from repro.runtime import ProcessCluster, ProcessClusterConfig
+from repro.telemetry import STAGE_PARTITION, TelemetryRecorder
 
 RNG = np.random.default_rng(71)
 
@@ -43,17 +44,24 @@ class TestInferStream:
             np.testing.assert_allclose(out.output, local(Tensor(img)).data, atol=1e-5)
 
     def test_pipelining_improves_wall_time_with_sleepy_workers(self):
-        """With sleep-dominated workers, depth-2 overlap beats depth-1."""
+        """Depth 2 overlaps images, depth 1 never does — the structure that
+        buys the wall time, asserted on spans instead of racing two totals:
+        overlap means an image's ``partition`` span starts before the
+        previous image's ``image_done``."""
         model = small_model()
         cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0, delay_per_tile=(0.05, 0.05))
         images = [RNG.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(4)]
-        times = {}
+        overlapped = {}
         for depth in (1, 2):
-            with ProcessCluster(model, TileGrid(2, 2), config=cfg) as cluster:
-                start = time.perf_counter()
+            tel = TelemetryRecorder()
+            with ProcessCluster(model, TileGrid(2, 2), config=cfg, telemetry=tel) as cluster:
                 cluster.infer_stream(images, pipeline_depth=depth)
-                times[depth] = time.perf_counter() - start
-        assert times[2] < times[1] * 1.05  # at worst equal; usually faster
+            done = {ev["image_id"]: ev["time"] for ev in tel.of_kind("image_done")}
+            started = {sp["image_id"]: sp["time"] for sp in tel.spans(STAGE_PARTITION)}
+            assert sorted(done) == sorted(started) == list(range(len(images)))
+            overlapped[depth] = [i for i in range(1, len(images)) if started[i] < done[i - 1]]
+        assert overlapped[1] == []
+        assert overlapped[2]
 
     def test_validation(self):
         model = small_model()
@@ -80,16 +88,16 @@ class TestHotLoopFixes:
         import multiprocessing as mp
 
         from repro.runtime.messages import ArenaGrant
-        from repro.runtime.process_backend import _stage_result
+        from repro.runtime.transport import WorkerEndpoint
 
-        grant = ArenaGrant(("bogus-slot",), 1 << 20)
         payload = np.ones((8, 8), dtype=np.float32)
         sem = mp.get_context("fork").Semaphore(0)  # ring exhausted
+        endpoint = WorkerEndpoint(sem)
+        endpoint.accept(ArenaGrant(("bogus-slot",), 1 << 20))
         t0 = time.perf_counter()
-        out, cursor, ring_fallback = _stage_result(payload, grant, {}, sem, 3)
+        out, ring_fallback = endpoint.stage_result(payload)
         elapsed = time.perf_counter() - t0
         assert out is payload  # shipped inline, not as a ShmRef
-        assert cursor == 3  # slot not consumed
         assert ring_fallback  # reported so telemetry can count it
         assert elapsed < 0.1, f"ring-full probe blocked for {elapsed:.3f}s"
 
@@ -99,15 +107,16 @@ class TestHotLoopFixes:
         import multiprocessing as mp
 
         from repro.runtime.messages import ArenaGrant
-        from repro.runtime.process_backend import _stage_result
+        from repro.runtime.transport import WorkerEndpoint
 
-        grant = ArenaGrant(("bogus-slot",), 16)  # slot smaller than payload
         payload = np.ones((8, 8), dtype=np.float32)
         sem = mp.get_context("fork").Semaphore(1)
-        out, cursor, ring_fallback = _stage_result(payload, grant, {}, sem, 0)
+        endpoint = WorkerEndpoint(sem)
+        endpoint.accept(ArenaGrant(("bogus-slot",), 16))  # slot smaller than payload
+        out, ring_fallback = endpoint.stage_result(payload)
         assert out is payload
-        assert cursor == 0
         assert not ring_fallback
+        assert sem.acquire(block=False)  # the permit was never taken
 
     def test_tile_result_carries_ring_fallback_flag(self):
         from repro.runtime import TileResult

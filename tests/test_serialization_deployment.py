@@ -64,7 +64,7 @@ class TestDeployment:
     def test_serve_matches_local(self):
         dep = self.make_deployment()
         x = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
-        with dep.serve(num_workers=2) as cluster:
+        with dep.serve(dep.cluster_config(num_workers=2)) as cluster:
             remote = cluster.infer(x).output
         np.testing.assert_allclose(remote, dep.infer_local(x), atol=1e-4)
 

@@ -20,7 +20,6 @@ from repro.profiling import RASPBERRY_PI_3B
 from repro.runtime import (
     ADCNNSystem,
     ADCNNWorkload,
-    ProcessCluster,
     ProcessClusterConfig,
     burst_arrival_times,
     poisson_arrival_times,
@@ -32,6 +31,7 @@ from repro.serving import (
     ServingConfig,
     ServingFrontEnd,
 )
+from repro.sharding import make_cluster_handle
 from repro.simulator import SimNode, saturation_knee, saturation_point
 
 RNG = np.random.default_rng(19)
@@ -46,9 +46,10 @@ def make_image():
 
 
 def make_frontend(serving=None, cluster_kw=None):
+    serving = serving or ServingConfig()
     cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0, **(cluster_kw or {}))
-    cluster = ProcessCluster(small_model(), TileGrid(2, 2), config=cfg)
-    return ServingFrontEnd(cluster, serving or ServingConfig())
+    handle = make_cluster_handle(small_model(), TileGrid(2, 2), config=cfg, window=serving.window)
+    return ServingFrontEnd(handle, serving)
 
 
 class TestServingConfig:
@@ -63,10 +64,11 @@ class TestServingConfig:
             ServingConfig(drain_timeout=-1.0)
 
     def test_started_cluster_rejected(self):
+        """The front-end owns the handle's lifecycle end to end."""
         cfg = ProcessClusterConfig(num_workers=1)
-        with ProcessCluster(small_model(), TileGrid(2, 2), config=cfg) as cluster:
+        with make_cluster_handle(small_model(), TileGrid(2, 2), config=cfg) as handle:
             with pytest.raises(RuntimeError, match="already started"):
-                ServingFrontEnd(cluster)
+                ServingFrontEnd(handle).start()
 
 
 class TestConcurrentSessions:
@@ -75,7 +77,7 @@ class TestConcurrentSessions:
         model = small_model()
         reference = FDSPModel(model, TileGrid(2, 2))
         reference.eval()
-        cluster = ProcessCluster(
+        cluster = make_cluster_handle(
             model, TileGrid(2, 2), config=ProcessClusterConfig(num_workers=2, t_limit=30.0)
         )
         images = [make_image() for _ in range(6)]

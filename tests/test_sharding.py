@@ -31,7 +31,6 @@ from repro.serving import ClusterFailed, Overloaded, ServingConfig, ServingFront
 from repro.sharding import (
     ClusterDown,
     ClusterRouter,
-    ProcessClusterHandle,
     RouterConfig,
     RoutingRequest,
     STATE_DOWN,
@@ -226,7 +225,7 @@ class TestProcessClusterHandle:
             config=ProcessClusterConfig(num_workers=1, t_limit=30.0),
             name="h0", window=2,
         )
-        assert handle.restartable and not handle.alive()
+        assert not handle.alive()
         img = make_image()
         with handle:
             assert handle.alive() and handle.can_dispatch
@@ -275,14 +274,6 @@ class TestProcessClusterHandle:
             assert outcome.output is not None
         finally:
             handle.stop()
-
-    def test_adopted_handle_not_restartable(self):
-        dep = ADCNNDeployment(small_model(), TileGrid(2, 2))
-        cluster = dep.serve(dep.cluster_config(num_workers=1))
-        handle = ProcessClusterHandle.adopt(cluster, name="adopted")
-        assert not handle.restartable
-        with pytest.raises(ClusterDown, match="not restartable"):
-            handle.restart()
 
 
 # =================================================================== router
@@ -448,7 +439,15 @@ class TestServingFailover:
         # Graceful drain with a dead shard: stop() already returned, cleanly.
 
     def test_process_backend_total_outage_resolves_typed(self):
-        router = build_router(small_model(), TileGrid(2, 2), two_shard_spec())
+        # Slow workers, so no image can finish before the kills land: with
+        # 7 ms images the first one occasionally resolved OK under load and
+        # the typed-failure assertion below had nothing to catch.
+        slow = ProcessClusterConfig(num_workers=1, delay_per_tile=(0.25,))
+        spec = ShardedDeploymentSpec(
+            shards=tuple(ShardSpec(f"shard{i}", config=slow) for i in range(2)),
+            policy="round_robin", mark_down_after=1, max_restarts=0,
+        )
+        router = build_router(small_model(), TileGrid(2, 2), spec)
         with ServingFrontEnd(
             router, ServingConfig(window=4, queue_capacity=16, drain_timeout=15.0)
         ) as fe:
@@ -592,18 +591,9 @@ class TestSpecAndDeployment:
         cfg = dep.cluster_config(num_workers=1, t_limit=7.0)
         cluster = dep.serve(cfg)
         assert cluster.config is cfg
-        with pytest.raises(TypeError, match="not both"):
-            dep.serve(cfg, t_limit=3.0)
-
-    def test_serve_legacy_kwargs_deprecated_but_working(self):
-        dep = ADCNNDeployment(small_model(), TileGrid(2, 2))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            cluster = dep.serve(num_workers=1, t_limit=4.0)
-        assert cluster.config.num_workers == 1
-        assert cluster.config.t_limit == 4.0
-        with pytest.warns(DeprecationWarning):
-            cluster = dep.serve(3)  # bare positional worker count
-        assert cluster.config.num_workers == 3
+        assert dep.serve().config == dep.cluster_config()
+        with pytest.raises(TypeError):  # the loose-kwargs form is gone
+            dep.serve(num_workers=1, t_limit=3.0)
 
     def test_serve_sharded_end_to_end(self):
         dep = ADCNNDeployment(small_model(), TileGrid(2, 2))

@@ -1,16 +1,18 @@
-"""Shared-memory tile transport tests (ISSUE 3 satellite c).
+"""Tile transport tests: the slot arena and the one transport module.
 
-Covers the slot-arena lifecycle under faults: a worker killed mid-flight
-must not leak task slots (``arena.available`` returns to capacity), a full
-run must produce bit-identical outputs to the legacy pickle transport, and
-shutdown must not trip the multiprocessing resource tracker's
-leaked-shared-memory warnings.
+Covers the slot lifecycle under faults: a worker killed mid-flight must not
+leak task slots (every slot is free again once the stream ends), a run on a
+host without shared memory (every message inline) must produce bit-identical
+outputs to the slot path, and shutdown must not trip the multiprocessing
+resource tracker's leaked-shared-memory warnings.
 """
 
+import multiprocessing as mp
 import os
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,13 @@ import pytest
 
 from repro.compression import CompressionPipeline
 from repro.models import vgg_mini
+from repro.nn import Tensor, no_grad
 from repro.partition import TileGrid
-from repro.runtime import ProcessCluster, ProcessClusterConfig, ShmRef, SlotArena
+from repro.partition.geometry import split_array
+from repro.runtime import ArenaGrant, ProcessCluster, ProcessClusterConfig, ShmRef, SlotArena, TileResult
 from repro.runtime.shm_arena import shm_available
 from repro.runtime.shm_arena import attach_array, close_attachments, write_array, write_bytes
+from repro.runtime.transport import RESULT_RING_SLOTS, CentralEndpoint
 from repro.telemetry import TelemetryRecorder
 
 RNG = np.random.default_rng(47)
@@ -100,39 +105,180 @@ class TestSlotArena:
             arena.destroy()
 
 
+def shm_segments():
+    """Names of live ``SharedMemory`` segments (CPython's ``psm_`` prefix)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@contextmanager
+def central_endpoint(num_workers=2):
+    # A context manager, not a fixture: the resource sanitizer audits
+    # segments before fixture teardown runs.
+    endpoint = CentralEndpoint(mp.get_context("fork"), num_workers)
+    endpoint.probe()
+    try:
+        yield endpoint
+    finally:
+        endpoint.close()
+
+
+@needs_shm
+class TestEndpoints:
+    """The transport module's two endpoints, driven without a cluster."""
+
+    def test_task_slot_kept_across_redispatch_and_released_by_key(self):
+        with central_endpoint() as central:
+            tiles = [RNG.standard_normal((1, 3, 4, 4)).astype(np.float32) for _ in range(2)]
+            central.size_task_arena(tiles, window=2)
+            assert central.task_slots_free == (4, 4)  # max(2 * tiles, tiles * window)
+            first = central.task(7, 0, tiles[0])
+            again = central.task(7, 0, tiles[0], probe=True)  # re-dispatch: same slot
+            other = central.task(7, 1, tiles[1])
+            assert first.tile is None and first.slot == again.slot and again.probe
+            assert other.slot.name != first.slot.name
+            assert central.task_slots_free == (2, 4)
+            worker = central.worker_endpoint(0)
+            try:
+                np.testing.assert_array_equal(worker.read(first), tiles[0])
+            finally:
+                worker.close()
+            central.release_task(7, 0)  # result arrived
+            assert central.task_slots_free == (3, 4)
+            for tile_id in (0, 1):  # finalize reclaims the rest; already-freed is a no-op
+                central.release_task(7, tile_id)
+            assert central.task_slots_free == (4, 4)
+
+    def test_task_goes_inline_when_arena_is_full_or_tile_too_big(self):
+        with central_endpoint() as central:
+            tile = np.ones((1, 1, 2, 2), dtype=np.float32)
+            central.size_task_arena([tile], window=1)  # two slots
+            assert all(central.task(0, tid, tile).slot is not None for tid in (0, 1))
+            overflow = central.task(0, 2, tile)
+            assert overflow.slot is None
+            np.testing.assert_array_equal(overflow.tile, tile)
+            big = central.task(1, 0, np.ones((1, 1, 8, 8), dtype=np.float32))
+            assert big.slot is None and big.tile is not None
+
+    def test_result_ring_roundtrip_returns_the_permit(self):
+        with central_endpoint() as central:
+            tq = mp.get_context("fork").Queue()
+            worker = central.worker_endpoint(1)
+            assert central.needs_ring(1)
+            central.grant_ring(1, 4096, tq)
+            assert not central.needs_ring(1)
+            grant = tq.get(timeout=5.0)
+            assert isinstance(grant, ArenaGrant) and set(grant.slot_names) <= shm_segments()
+            worker.accept(grant)
+            pipe = CompressionPipeline(bits=4)
+            try:
+                for payload in (
+                    pipe.compress_packed(RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)),
+                    RNG.standard_normal((1, 4, 6, 6)).astype(np.float32),
+                ):
+                    # More rounds than slots: every materialize hands the permit back.
+                    for _ in range(RESULT_RING_SLOTS + 2):
+                        ref, ring_fallback = worker.stage_result(payload)
+                        assert isinstance(ref, ShmRef) and not ring_fallback
+                        got = central.materialize(TileResult(0, 0, ref, worker=1)).payload
+                        if isinstance(payload, np.ndarray):
+                            np.testing.assert_array_equal(got, payload)
+                        else:
+                            assert got.raw_bits == payload.raw_bits
+                            np.testing.assert_array_equal(got.packed.buffer, payload.packed.buffer)
+            finally:
+                worker.close()
+
+    def test_stale_incarnation_descriptor_is_dropped(self):
+        """A descriptor from a replaced worker's ring materializes to None
+        and must not release a permit on the successor's semaphore."""
+        with central_endpoint() as central:
+            ctx = mp.get_context("fork")
+            old = central.worker_endpoint(0)
+            central.grant_ring(0, 1024, tq := ctx.Queue())
+            old.accept(tq.get(timeout=5.0))
+            stale, _ = old.stage_result(np.ones(8, dtype=np.float32))
+            old.close()
+            new = central.worker_endpoint(0)  # respawn: fresh semaphore, no ring yet
+            assert central.needs_ring(0) and stale.name not in shm_segments()
+            assert central.materialize(TileResult(0, 0, stale, worker=0)) is None
+            central.grant_ring(0, 1024, tq)
+            new.accept(tq.get(timeout=5.0))
+            assert central.materialize(TileResult(0, 0, stale, worker=0)) is None
+            try:
+                staged = [new.stage_result(np.ones(8, dtype=np.float32)) for _ in range(RESULT_RING_SLOTS + 1)]
+            finally:
+                new.close()
+            # Exactly RESULT_RING_SLOTS permits: the stale results added none.
+            assert [fallback for _, fallback in staged] == [False] * RESULT_RING_SLOTS + [True]
+
+    def test_unlinked_task_slot_reads_as_none(self):
+        with central_endpoint() as central:
+            tile = np.ones((1, 1, 2, 2), dtype=np.float32)
+            central.size_task_arena([tile], window=1)
+            task = central.task(0, 0, tile)
+            worker = central.worker_endpoint(0)
+            central.close()  # shutdown race: segments unlinked before the read
+            assert worker.read(task) is None
+
+    def test_without_shared_memory_everything_is_inline(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.transport.shm_available", lambda: False)
+        central = CentralEndpoint(mp.get_context("fork"), num_workers=1)
+        central.probe()
+        before = shm_segments()
+        tile = np.ones((1, 1, 2, 2), dtype=np.float32)
+        central.size_task_arena([tile], window=2)
+        task = central.task(0, 0, tile)
+        worker = central.worker_endpoint(0)
+        payload, ring_fallback = worker.stage_result(tile)
+        assert central.label == "pickle" and not central.needs_ring(0)
+        assert task.slot is None and payload is tile and not ring_fallback
+        assert central.task_slots_free == (0, 0) and shm_segments() == before
+        central.close()
+
+
 @needs_shm
 class TestTransportEquivalence:
-    def test_shm_bit_identical_to_pickle(self):
-        """Acceptance: infer() over shm transport is bit-identical to the
-        pickle transport, with and without the compression pipeline."""
+    def test_shm_bit_identical_to_pickle(self, monkeypatch):
+        """Acceptance: with no knob anywhere, a host whose shared-memory
+        probe fails runs the same code all-inline — labelled "pickle",
+        zero segments created — and is bit-identical to the slot path, with
+        and without the compression pipeline."""
         model = small_model()
         imgs = images(3)
         for pipeline in (CompressionPipeline(bits=4), None):
             outs = {}
-            for transport in ("shm", "pickle"):
-                cfg = ProcessClusterConfig(num_workers=2, transport=transport)
-                with ProcessCluster(model, TileGrid(2, 2), pipeline, cfg) as cluster:
-                    assert cluster.transport == transport
-                    outs[transport] = cluster.infer_stream(imgs, pipeline_depth=2)
+            for label in ("shm", "pickle"):
+                with monkeypatch.context() as patch:
+                    if label == "pickle":
+                        patch.setattr("repro.runtime.transport.shm_available", lambda: False)
+                    before = shm_segments()
+                    with ProcessCluster(
+                        model, TileGrid(2, 2), pipeline, ProcessClusterConfig(num_workers=2)
+                    ) as cluster:
+                        assert cluster.transport == cluster.health().transport == label
+                        outs[label] = cluster.infer_stream(imgs, pipeline_depth=2)
+                        created = shm_segments() - before
+                    assert bool(created) == (label == "shm")
             for a, b in zip(outs["shm"], outs["pickle"]):
                 np.testing.assert_array_equal(a.output, b.output)
                 assert a.zero_filled_tiles == b.zero_filled_tiles == []
 
     def test_task_slots_recycled_across_stream(self):
         """Every task slot returns to the free list once the stream ends."""
-        cfg = ProcessClusterConfig(num_workers=2, transport="shm")
+        cfg = ProcessClusterConfig(num_workers=2)
         with ProcessCluster(small_model(), TileGrid(2, 2), None, cfg) as cluster:
             cluster.infer_stream(images(4), pipeline_depth=2)
-            arena = cluster._task_arena
-            assert arena is not None
-            assert arena.available == arena.capacity
+            free, total = cluster._endpoint.task_slots_free
+            assert free == total > 0
 
     def test_telemetry_wire_bits_measured(self):
         """Down-direction wire bits equal the sum of actual packed buffer
         lengths (8 * nbytes), not the token-stream accounting."""
         tel = TelemetryRecorder()
         pipe = CompressionPipeline(bits=4)
-        cfg = ProcessClusterConfig(num_workers=2, transport="shm")
+        cfg = ProcessClusterConfig(num_workers=2)
         x = images(1)[0]
         with ProcessCluster(small_model(), TileGrid(2, 2), pipe, cfg, telemetry=tel) as cluster:
             res = cluster.infer(x)
@@ -144,14 +290,6 @@ class TestTransportEquivalence:
         assert total < raw  # compressed, but real nonzero bytes
         assert res.zero_filled_tiles == []
 
-    def test_transport_knob_validated(self):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessClusterConfig(transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            ProcessClusterConfig(shm_slots=-1)
-        with pytest.raises(ValueError):
-            ProcessClusterConfig(result_slots_per_worker=0)
-
 
 @needs_shm
 class TestFaultIntegration:
@@ -162,7 +300,7 @@ class TestFaultIntegration:
         model = small_model()
         imgs = images(3)
         cfg = ProcessClusterConfig(
-            num_workers=2, t_limit=30.0, delay_per_tile=(0.0, 0.15), transport="shm"
+            num_workers=2, t_limit=30.0, delay_per_tile=(0.0, 0.15)
         )
         with ProcessCluster(model, TileGrid(2, 2), config=cfg) as cluster:
             healthy = cluster.infer_stream(imgs, pipeline_depth=2)
@@ -173,14 +311,14 @@ class TestFaultIntegration:
                 outcomes = cluster.infer_stream(imgs, pipeline_depth=2)
             finally:
                 killer.cancel()
-            arena = cluster._task_arena
-            assert arena is not None and arena.available == arena.capacity
+            free, total = cluster._endpoint.task_slots_free
+            assert free == total > 0
         for h, o in zip(healthy, outcomes):
             assert o.zero_filled_tiles == []
             np.testing.assert_array_equal(o.output, h.output)
 
     def test_restart_gets_fresh_result_ring(self):
-        """A respawned worker's old result arena is destroyed and a new
+        """A respawned worker's old result ring is destroyed and a new
         grant issued; the stream still completes with no zero-fill."""
         model = small_model()
         cfg = ProcessClusterConfig(
@@ -190,11 +328,10 @@ class TestFaultIntegration:
             max_restarts=1,
             restart_backoff=0.1,
             probe_interval=1,
-            transport="shm",
         )
         with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
             cluster.infer(images(1)[0])
-            old_arena = cluster._result_arenas[1]
+            before = shm_segments()
             cluster.kill_worker(1)
             cluster.infer(images(1)[0])
             import time as _time
@@ -205,18 +342,33 @@ class TestFaultIntegration:
                 last = cluster.infer(images(1)[0])
             assert cluster.restart_counts == [0, 1]
             assert last.zero_filled_tiles == []
-            new_arena = cluster._result_arenas[1]
-            if old_arena is not None and new_arena is not None:
-                assert set(old_arena.names).isdisjoint(new_arena.names)
+            after = shm_segments()
+            assert len(before - after) == RESULT_RING_SLOTS  # old ring unlinked
+            assert len(after - before) == RESULT_RING_SLOTS  # fresh ring granted
 
     def test_all_workers_dead_still_degrades_locally(self):
-        cfg = ProcessClusterConfig(num_workers=2, transport="shm")
-        with ProcessCluster(small_model(), TileGrid(2, 2), config=cfg) as cluster:
+        """Central-local fallback produces the one wire format too: packed
+        payloads, decoded by the same merge, counted as measured wire bits."""
+        tel = TelemetryRecorder()
+        pipe = CompressionPipeline(bits=4)
+        model, x = small_model(), images(1)[0]
+        cfg = ProcessClusterConfig(num_workers=2)
+        with ProcessCluster(model, TileGrid(2, 2), pipe, cfg) as cluster:
+            healthy = cluster.infer(x)
+        with ProcessCluster(model, TileGrid(2, 2), pipe, cfg, telemetry=tel) as cluster:
             cluster.kill_worker(0)
             cluster.kill_worker(1)
-            out = cluster.infer(images(1)[0])
+            out = cluster.infer(x)
         assert out.zero_filled_tiles == []
         assert out.locally_computed_tiles == [0, 1, 2, 3]
+        np.testing.assert_array_equal(out.output, healthy.output)
+        separable = model.separable_part()
+        with no_grad():
+            expected = sum(
+                pipe.compress_packed(separable(Tensor(t)).data).wire_bits
+                for t in split_array(x, TileGrid(2, 2))
+            )
+        assert tel.metrics.counter_value("adcnn_bits_wire_total", direction="down") == expected
 
 
 @needs_shm
@@ -234,7 +386,7 @@ from repro.runtime import ProcessCluster, ProcessClusterConfig
 model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
 rng = np.random.default_rng(0)
 imgs = [rng.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(2)]
-cfg = ProcessClusterConfig(num_workers=2, transport="shm", delay_per_tile=(0.0, 0.1), t_limit=30.0)
+cfg = ProcessClusterConfig(num_workers=2, delay_per_tile=(0.0, 0.1), t_limit=30.0)
 with ProcessCluster(model, TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
     import threading
     threading.Timer(0.2, cluster.kill_worker, args=(1,)).start()

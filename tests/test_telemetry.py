@@ -167,9 +167,12 @@ class TestRecorder:
         assert len(t.spans(STAGE_CONV_COMPUTE)) == 2
 
     def test_trace_recorder_alias(self):
-        from repro.simulator import TraceRecorder
+        """The simulator's old alias is gone: one recorder, one name."""
+        import repro.simulator
 
-        assert TraceRecorder is TelemetryRecorder
+        assert not hasattr(repro.simulator, "TraceRecorder")
+        with pytest.raises(ImportError):
+            import repro.simulator.trace  # noqa: F401
 
 
 def _sample_recorder() -> TelemetryRecorder:

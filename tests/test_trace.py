@@ -1,4 +1,4 @@
-"""Tracing tests: the simulator TraceRecorder alias, §5h trace-tree units,
+"""Tracing tests: the recorder's generic event API, §5h trace-tree units,
 and the ISSUE-7 acceptance paths — a fig-15-style kill/recover run yields
 exactly one complete, orphan-free span tree per image in *both* backends,
 with critical-path attribution summing to the end-to-end latency."""
@@ -9,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.simulator import TraceRecorder
 from repro.telemetry import (
     STAGE_CENTRAL,
     STAGE_CONV_COMPUTE,
@@ -26,7 +25,7 @@ from repro.telemetry.trace import ROOT_SPAN_ID, WAIT_BUCKET
 
 class TestTraceRecorder:
     def test_record_and_filter(self):
-        tr = TraceRecorder()
+        tr = TelemetryRecorder()
         tr.record(0.1, "dispatch", image=0)
         tr.record(0.2, "result", image=0, node=1)
         tr.record(0.3, "dispatch", image=1)
@@ -35,13 +34,13 @@ class TestTraceRecorder:
         assert [e["image"] for e in dispatches] == [0, 1]
 
     def test_fields_preserved(self):
-        tr = TraceRecorder()
+        tr = TelemetryRecorder()
         tr.record(1.5, "trigger", image=2, zero_filled=3)
         e = tr.events[0]
         assert e["time"] == 1.5 and e["kind"] == "trigger" and e["zero_filled"] == 3
 
     def test_clear(self):
-        tr = TraceRecorder()
+        tr = TelemetryRecorder()
         tr.record(0.0, "x")
         tr.clear()
         assert len(tr) == 0

@@ -1,9 +1,11 @@
 """Tests for the packed byte-level wire format (repro.compression.wire).
 
-The load-bearing invariant, asserted property-style below: the packed
-codec's ``payload_bits`` equals the tuple codec's ``encoded_bits`` exactly
-for every input — sparse, dense, empty, all-zero, and runs split at the
-``2**run_bits`` counter cap.
+The load-bearing invariant, asserted property-style below against the
+tuple-stream oracle (``tests/rle_oracle.py``): the packed codec's
+``payload_bits`` equals the oracle's ``encoded_bits`` exactly, and both
+decode to the same levels, for every input — sparse, dense, empty,
+all-zero, and runs split at the ``2**run_bits`` counter cap.  A golden test
+pins the byte layout itself.
 """
 
 import numpy as np
@@ -11,15 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rle_oracle import rle_decode, rle_encode
+
 from repro.compression import (
     CompressionPipeline,
     PackedStream,
-    RLEStream,
     UniformQuantizer,
     max_packed_nbytes,
     pack_levels,
-    pack_stream,
-    rle_encode,
     unpack,
 )
 
@@ -88,7 +89,7 @@ class TestRoundTrip:
 
 
 class TestBitAccounting:
-    """Satellite (b): packed payload bits == RLEStream.encoded_bits exactly."""
+    """Packed payload bits == the oracle's ``encoded_bits`` exactly."""
 
     def assert_parity(self, levels, value_bits=4, run_bits=8):
         stream = rle_encode(levels, value_bits=value_bits, run_bits=run_bits)
@@ -98,6 +99,7 @@ class TestBitAccounting:
         # per-section byte-alignment slack — the ISSUE's invariant.
         assert packed.wire_bits == packed.header_bits + packed.payload_bits + packed.padding_bits
         assert 0 <= packed.padding_bits < 24
+        assert np.array_equal(unpack(packed), rle_decode(stream))
         assert np.array_equal(unpack(packed), np.asarray(levels).astype(np.uint16))
 
     def test_sparse(self):
@@ -135,19 +137,22 @@ class TestBitAccounting:
         )
         self.assert_parity(levels, value_bits=value_bits, run_bits=run_bits)
 
-    def test_pack_stream_matches_pack_levels(self):
-        levels = sparse_levels(8192)
-        a = pack_levels(levels)
-        b = pack_stream(rle_encode(levels))
-        assert np.array_equal(a.buffer, b.buffer)
-
-    def test_pack_stream_handles_oversized_handbuilt_run(self):
-        # A hand-built stream with a run above the cap: encoded_bits counts
-        # the split tokens, and pack_stream must serialize the same split.
-        stream = RLEStream((600,), ((True, 600),), value_bits=4, run_bits=8)
-        packed = pack_stream(stream)
-        assert packed.payload_bits == stream.encoded_bits
-        assert np.array_equal(unpack(packed), np.zeros(600, dtype=np.uint8))
+    def test_golden_bytes(self):
+        """Wire format version 1, byte for byte: captured from
+        ``pack_levels`` at the commit before the tuple codec left ``src/``.
+        Any change to these bytes is a wire-format change and needs a new
+        version number in the header."""
+        levels = np.array(
+            [[0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0],
+             [0, 0, 15, 1, 9, 0, 3, 0, 0, 0, 0],
+             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7]], dtype=np.uint8)  # fmt: skip
+        packed = pack_levels(levels, value_bits=4, run_bits=3)  # cap 8 splits both long runs
+        assert packed.buffer.tobytes().hex() == (
+            "ad010403020000000c000000000000000600000000000000"  # magic, version, widths, ndim, counts
+            "030000000b000000"  # shape (3, 11)
+            "b160" "5c0f40" "5f1937"  # flags, run counters, literal nibbles
+        )
+        assert np.array_equal(unpack(packed.buffer.tobytes()), levels)
 
 
 class TestValidation:
@@ -212,15 +217,6 @@ class TestQuantizerDtype:
 
 
 class TestPipelineIntegration:
-    def test_compress_packed_matches_compress(self):
-        pipe = CompressionPipeline(bits=4)
-        x = RNG.standard_normal((2, 6, 12, 12)).astype(np.float32)
-        ct = pipe.compress(x)
-        pt = pipe.compress_packed(x)
-        assert pt.compressed_bits == ct.compressed_bits
-        assert pt.raw_bits == ct.raw_bits
-        assert np.array_equal(pipe.decompress(pt), pipe.decompress(ct))
-
     def test_decompress_accepts_raw_buffer(self):
         pipe = CompressionPipeline(bits=4)
         x = RNG.standard_normal((1, 3, 8, 8)).astype(np.float32)
