@@ -27,11 +27,11 @@ from repro.profiling import RASPBERRY_PI_3B
 from repro.runtime import (
     ADCNNSystem,
     ADCNNWorkload,
-    ProcessCluster,
     ProcessClusterConfig,
     poisson_arrival_times,
 )
 from repro.serving import Overloaded, ServingConfig, ServingFrontEnd
+from repro.sharding import make_cluster_handle
 from repro.simulator import SimNode, saturation_knee, saturation_point
 
 RNG_SEED = 7
@@ -96,13 +96,12 @@ def burst_serve(num_workers=2, steady_images=6, burst_images=24):
     config = ProcessClusterConfig(
         num_workers=num_workers, t_limit=30.0, delay_per_tile=(0.02,) * num_workers
     )
-    cluster = ProcessCluster(model, TileGrid(2, 2), config=config)
+    serving = ServingConfig(window=2, queue_capacity=4, slo_seconds=0.5)
+    handle = make_cluster_handle(model, TileGrid(2, 2), config=config, window=serving.window)
     steady: list[concurrent.futures.Future] = []
     burst: list[concurrent.futures.Future] = []
     shed = 0
-    with ServingFrontEnd(
-        cluster, ServingConfig(window=2, queue_capacity=4, slo_seconds=0.5)
-    ) as fe:
+    with ServingFrontEnd(handle, serving) as fe:
         for _ in range(steady_images):  # paced: arrivals ~ service rate
             steady.append(fe.submit(image, client="steady"))
             time.sleep(0.1)

@@ -29,9 +29,10 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from multiprocessing.queues import Queue
 
+    from repro.compression import PackedTensor
+
 import numpy as np
 
-from repro.compression import PackedTensor
 from repro.telemetry.trace import TraceContext
 
 from .shm_arena import ShmRef

@@ -431,8 +431,8 @@ class ProcessCluster:
 
     @property
     def transport(self) -> str:
-        """The transport endpoint's label for how tile bytes travel — what
-        :meth:`start` observed, not a setting (see ``CentralEndpoint.label``)."""
+        """How tile bytes travel, as the latest :meth:`start` observed it — not a
+        setting; the inline label before any start (``CentralEndpoint.label``)."""
         return self._endpoint.label
 
     def _spawn(self, worker_id: int) -> mp.Process:

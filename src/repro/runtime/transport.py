@@ -167,13 +167,13 @@ class CentralEndpoint:
 
     @property
     def label(self) -> str:
-        """``"shm"`` while slots are in use, ``"pickle"`` when every message
-        goes inline (shared memory absent, or an arena could not be created)."""
+        """``"shm"`` while slots are in use, ``"pickle"`` when every message goes
+        inline (no shared memory, arena creation failed, or no :meth:`probe` yet)."""
         return "shm" if self._shm else "pickle"
 
     @property
     def task_slots_free(self) -> tuple[int, int]:
-        """``(free, total)`` task slots — equal once every image has finalized."""
+        """``(free, total)`` task slots, equal once every image finalized (test seam)."""
         arena = self._task_arena
         return (arena.available, arena.capacity) if arena is not None else (0, 0)
 

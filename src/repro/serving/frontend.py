@@ -87,8 +87,8 @@ class ServingConfig:
     """Front-end knobs; the cluster's own config governs everything below."""
 
     #: Controller pipelining window (images in flight; Figure 9 overlap).
-    #: The handle enforces it (build it with the same ``window=``); the
-    #: front-end only follows the handle's ``can_dispatch``.
+    #: Descriptive: the front-end never reads it, it follows ``can_dispatch``
+    #: of the handle — build that with the same ``window=`` (it enforces it).
     window: int = 2
     #: Bounded admission-queue capacity; arrivals beyond it are shed with
     #: :class:`Overloaded`.  Queue + window bound the worst-case sojourn.

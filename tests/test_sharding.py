@@ -11,6 +11,7 @@ across re-routes, and the declarative spec / deployment API.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -439,14 +440,11 @@ class TestServingFailover:
         # Graceful drain with a dead shard: stop() already returned, cleanly.
 
     def test_process_backend_total_outage_resolves_typed(self):
-        # Slow workers, so no image can finish before the kills land: with
-        # 7 ms images the first one occasionally resolved OK under load and
-        # the typed-failure assertion below had nothing to catch.
+        # Slow workers: a 7 ms image could finish before the kills landed,
+        # leaving the typed-failure assertion below nothing to catch.
         slow = ProcessClusterConfig(num_workers=1, delay_per_tile=(0.25,))
-        spec = ShardedDeploymentSpec(
-            shards=tuple(ShardSpec(f"shard{i}", config=slow) for i in range(2)),
-            policy="round_robin", mark_down_after=1, max_restarts=0,
-        )
+        spec = two_shard_spec()
+        spec = replace(spec, shards=tuple(replace(s, config=slow) for s in spec.shards))
         router = build_router(small_model(), TileGrid(2, 2), spec)
         with ServingFrontEnd(
             router, ServingConfig(window=4, queue_capacity=16, drain_timeout=15.0)
