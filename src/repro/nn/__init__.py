@@ -4,7 +4,7 @@ Provides the autograd tensor, layers, optimizers, and losses that the whole
 ADCNN reproduction is built on (PyTorch replacement; see DESIGN.md §2).
 """
 
-from . import functional, fused, init, losses, optim, serialization, utils
+from . import blas, functional, fused, init, losses, optim, serialization, utils
 from .fused import FusedSeparable, fused_clip_quantize, try_compile
 from .modules import (
     AvgPool2d,
@@ -32,6 +32,7 @@ from .modules import (
 from .tensor import Parameter, Tensor, no_grad
 
 __all__ = [
+    "blas",
     "functional",
     "fused",
     "FusedSeparable",

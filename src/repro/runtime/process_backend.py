@@ -53,7 +53,7 @@ import numpy as np
 import repro.nn as nn
 from repro.compression import CompressionPipeline, PackedTensor, max_packed_nbytes
 from repro.models.blocks import PartitionableCNN
-from repro.nn import Tensor
+from repro.nn import Tensor, blas
 from repro.partition.geometry import (
     SegmentGrid,
     TileGrid,
@@ -415,6 +415,11 @@ class ProcessCluster:
     def start(self) -> "ProcessCluster":
         if self._procs:
             raise RuntimeError("cluster already started")
+        # One BLAS thread per node process (DESIGN.md §5, "BLAS threading"):
+        # lowered here, before the first fork, so every worker (respawns
+        # included) inherits it and never builds a pool.  One-way: the
+        # process that starts a cluster is a Central node from then on.
+        blas.pin_single_thread()
         self._separable = self.model.separable_part()
         self._separable.eval()
         self._fused = nn.try_compile(self._separable)
@@ -522,6 +527,7 @@ class ProcessCluster:
             window=self._controller.window,
             transport=self.transport,
             images_dispatched=self._image_counter,
+            blas_threads=blas.get_num_threads(),
         )
 
     # ------------------------------------------------------------ supervision

@@ -178,6 +178,9 @@ class ClusterHealth:
     window: int
     transport: str
     images_dispatched: int
+    #: BLAS threads per GEMM in the driver (Central) process, as
+    #: ``repro.nn.blas`` reads it back; 0 = unknown (no OpenBLAS found).
+    blas_threads: int = 0
 
     @property
     def healthy(self) -> bool:

@@ -105,7 +105,8 @@ def render_top(
     else:
         lines = [
             f"adcnn top — {time.strftime('%H:%M:%S', time.localtime(clock()))}"
-            f"  transport={health.transport}  window={health.window}"
+            f"  transport={health.transport}  blas_threads={health.blas_threads or '?'}"
+            f"  window={health.window}"
             f"  in_flight={health.in_flight}  dispatched={health.images_dispatched}",
             "",
             f"nodes ({sum(1 for n in health.nodes if n.alive)}/{len(health.nodes)} alive)",
