@@ -64,6 +64,11 @@ __all__ = [
 ]
 
 
+#: Longest the idle driver parks before re-checking on its own.  ``submit()``
+#: and ``stop()`` wake it explicitly; this is only the safety net.
+_IDLE_WAIT_S = 0.05
+
+
 class Overloaded(RuntimeError):
     """A submission was shed: the admission queue was full (or draining).
 
@@ -184,6 +189,8 @@ class ServingFrontEnd:
         self._queue_wait_q = StreamingQuantiles()
         self._admitting = False
         self._stop_requested = threading.Event()
+        #: Set by ``submit()`` and ``stop()`` to end the driver's idle wait.
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._driver_error: BaseException | None = None
         self._drain_started: float | None = None
@@ -215,6 +222,7 @@ class ServingFrontEnd:
         """
         self._admitting = False
         self._stop_requested.set()
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=self.config.drain_timeout + 10.0)
             if self._thread.is_alive():  # pragma: no cover - defensive
@@ -270,6 +278,7 @@ class ServingFrontEnd:
             raise Overloaded(
                 "queue_full", self.config.queue_capacity, self.config.queue_capacity
             ) from None
+        self._wake.set()
         with self._stats_lock:
             stats.submitted += 1
         if tel.enabled:
@@ -378,10 +387,15 @@ class ServingFrontEnd:
                 elif draining and self._queue.empty():
                     break
                 else:
-                    # Idle: nothing in flight, so park on the admission
-                    # queue (short timeout keeps shutdown responsive).
+                    # Idle: nothing in flight, so park until submit() or
+                    # stop() wakes us.  Clearing before the queue is read
+                    # means a submission landing in between is never missed
+                    # (its put precedes its set).
+                    if self._queue.empty():
+                        self._wake.wait(timeout=_IDLE_WAIT_S)
+                    self._wake.clear()
                     try:
-                        pending = self._queue.get(timeout=0.05)
+                        pending = self._queue.get_nowait()
                     except queue.Empty:
                         continue
                     self._dispatch(handle, inflight, pending)

@@ -8,6 +8,7 @@ workload (saturation behavior at rates the process backend can't reach).
 
 import asyncio
 import math
+import threading
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.runtime import (
     poisson_arrival_times,
     uniform_arrival_times,
 )
+import repro.serving.frontend as frontend_mod
 from repro.serving import (
     ClientStats,
     Overloaded,
@@ -203,6 +205,30 @@ class TestGracefulDrain:
         fe.start()
         fe.stop()
         fe.stop()
+
+    def test_submit_and_stop_wake_the_parked_driver(self, monkeypatch):
+        """The idle driver is woken, never polled for: with its safety-net
+        timeout stretched to 30 s, submissions still dispatch and stop()
+        still returns, with every admitted future resolved and the queue
+        accounting exact."""
+        monkeypatch.setattr(frontend_mod, "_IDLE_WAIT_S", 30.0)
+        fe = make_frontend()
+        fe.start()
+        futures = []
+        try:
+            for _ in range(3):  # each submit finds the driver idle (or about to be)
+                futures.append(fe.submit(make_image()))
+                assert futures[-1].result(timeout=15.0).outcome.output.shape == (1, 3)
+            assert fe.queue_depth == 0
+        finally:
+            stopper = threading.Thread(target=fe.stop)
+            stopper.start()
+            stopper.join(timeout=15.0)
+        assert not stopper.is_alive()
+        assert all(f.done() for f in futures)
+        status = fe.status()
+        assert (status.submitted, status.completed, status.shed) == (3, 3, 0)
+        assert status.queue_depth == 0
 
 
 class TestOpenLoopDES:
