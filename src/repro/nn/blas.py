@@ -2,9 +2,9 @@
 
 ADCNN's parallelism is *across* processes (one per Conv node plus Central),
 so a BLAS pool inside each of them only adds threads that spin against the
-other processes' useful work (DESIGN.md §5, "BLAS threading").  There is no
-setting: :func:`pin_single_thread` is called by ``ProcessCluster.start()``
-before the first fork, and forked workers inherit the count.
+other processes' useful work (DESIGN.md §5l).  There is no setting:
+:func:`pin_single_thread` is called by ``ProcessCluster.start()`` before
+the first fork, and forked workers inherit the count.
 
 The library is found the way ``threadpoolctl`` finds it — among the shared
 objects already mapped into this process — so nothing is loaded that NumPy
@@ -78,17 +78,13 @@ def get_num_threads() -> int:
     return int(control.get()) if control is not None else 0
 
 
-def pin_single_thread() -> int:
-    """Lower this process's OpenBLAS to one thread; returns the count now in
-    force (0 = no OpenBLAS found, nothing changed).
+def pin_single_thread() -> None:
+    """Lower this process's OpenBLAS to one thread (no-op without OpenBLAS).
 
     One-way and idempotent: a second call costs one cached lookup and one
     getter call.  Children forked afterwards inherit the count and never
     create a pool of their own.
     """
     control = _resolve()
-    if control is None:
-        return 0
-    if control.get() != 1:
+    if control is not None and control.get() != 1:
         control.set(1)
-    return int(control.get())

@@ -415,10 +415,10 @@ class ProcessCluster:
     def start(self) -> "ProcessCluster":
         if self._procs:
             raise RuntimeError("cluster already started")
-        # One BLAS thread per node process (DESIGN.md §5, "BLAS threading"):
-        # lowered here, before the first fork, so every worker (respawns
-        # included) inherits it and never builds a pool.  One-way: the
-        # process that starts a cluster is a Central node from then on.
+        # One BLAS thread per node process (DESIGN.md §5l), lowered before
+        # the first fork so every worker (respawns included) inherits it and
+        # never builds a pool.  One-way: the process that starts a cluster
+        # is a Central node from then on.
         blas.pin_single_thread()
         self._separable = self.model.separable_part()
         self._separable.eval()

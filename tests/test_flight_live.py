@@ -2,6 +2,7 @@
 P² quantile accuracy, health scoring, the top renderer, and the live
 status()/health() snapshots against a real serving cluster."""
 
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -204,6 +205,9 @@ class TestRenderTop:
         out = render_top(health, status, clock=lambda: 0.0)
         assert "worker0" in out and "DOWN" in out and "restarts=3" in out
         assert "1/2 alive" in out
+        assert "transport=shm  blas_threads=?" in out  # default 0 = unknown
+        pinned = dataclasses.replace(health, blas_threads=1)
+        assert "blas_threads=1" in render_top(pinned, clock=lambda: 0.0)
         assert "queue=1/8" in out and "submitted=6" in out
         assert "p95=  20.0ms" in out
         assert not health.healthy

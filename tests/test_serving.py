@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serving.frontend as frontend_mod
 from repro.models import get_spec, vgg_mini
 from repro.nn import Tensor
 from repro.partition import FDSPModel, TileGrid
@@ -26,7 +27,6 @@ from repro.runtime import (
     poisson_arrival_times,
     uniform_arrival_times,
 )
-import repro.serving.frontend as frontend_mod
 from repro.serving import (
     ClientStats,
     Overloaded,
