@@ -3,7 +3,7 @@
 These rules run over the :class:`~repro.lint.graph.ProjectGraph` (never
 over raw ASTs) so they see the seams the per-file rules cannot: the
 controller's event/command protocol spanning three modules, the
-TileTask/TileResult wire schema crossing the fork boundary, and blocking
+BatchTask/BatchResult wire schema crossing the fork boundary, and blocking
 primitives buried several calls below an ``async def``.
 
 Every rule is *conservative by construction*: name-level matching
@@ -177,7 +177,7 @@ class MessageFlowRule(ProjectRule):
 
     code = "RL012"
     name = "ipc-message-flow"
-    description = "every produced TileTask/TileResult field is consumed across the IPC boundary"
+    description = "every produced BatchTask/BatchResult field is consumed across the IPC boundary"
 
     MESSAGES_SUFFIX = "runtime/messages.py"
     #: Where producer/consumer sites live: the IPC boundary itself.

@@ -60,10 +60,10 @@ STAGE_CONSTANT_NAMES = frozenset(
 )
 
 #: Dataclasses allowed to cross a multiprocessing queue, declared in
-#: ``runtime/messages.py``.  ``TileTask``/``TileResult`` are the data-path
+#: ``runtime/messages.py``.  ``BatchTask``/``BatchResult`` are the data-path
 #: messages (ndarray payloads allowed); the rest are control-path.
-MESSAGE_CLASSES = frozenset({"TileTask", "TileResult", "ArenaGrant", "Shutdown"})
-DATA_MESSAGE_CLASSES = frozenset({"TileTask", "TileResult"})
+MESSAGE_CLASSES = frozenset({"BatchTask", "BatchResult", "ArenaGrant", "Shutdown"})
+DATA_MESSAGE_CLASSES = frozenset({"BatchTask", "BatchResult"})
 
 
 def _dotted(node: ast.AST) -> str:
@@ -237,7 +237,7 @@ class QueueMessageRule(Rule):
                         self.code,
                         stmt,
                         f"control-path message {node.name} carries a raw ndarray field "
-                        "(bulk data belongs on the data path: TileTask/TileResult or an "
+                        "(bulk data belongs on the data path: BatchTask/BatchResult or an "
                         "ShmRef descriptor)",
                     )
 

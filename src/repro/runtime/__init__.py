@@ -10,7 +10,7 @@ from .controller import (
     replay,
 )
 from .deployment import ADCNNDeployment
-from .messages import LOCAL_WORKER, ArenaGrant, Shutdown, TileResult, TileTask, drain_queue
+from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown, drain_queue
 from .policies import (
     AllocationPolicy,
     AllocationRequest,
@@ -48,8 +48,8 @@ __all__ = [
     "ADCNNSystem",
     "ImageRecord",
     "MediumQueue",
-    "TileTask",
-    "TileResult",
+    "BatchTask",
+    "BatchResult",
     "Shutdown",
     "ArenaGrant",
     "ShmRef",

@@ -1,15 +1,17 @@
 """Wire messages between the Central node and Conv nodes (Figure 8).
 
-Every tile carries an ``(image_id, tile_id)`` pair so the Central node can
-route results to the right image slot regardless of arrival order, and
-results echo the pair back plus the worker that produced them.
+The unit that crosses the process boundary is the controller's *batch*: one
+:class:`BatchTask` per ``SendBatch``/``Redispatch`` command (the tiles of one
+image handed to one Conv node) and one :class:`BatchResult` back.  Both name
+their tiles by ``(image_id, tile_ids)`` so the Central node can route every
+result to the right image slot regardless of arrival order.
 
 Fault tolerance adds a drain/re-queue protocol on top: when the Central
-node detects a dead Conv node it *drains* the undelivered :class:`TileTask`
+node detects a dead Conv node it *drains* the undelivered :class:`BatchTask`
 messages still sitting in that node's task queue (so a restarted process
 never replays stale work) and re-queues every tile the node owned but never
 answered onto surviving nodes, reconstructed from the Central node's own
-assignment map.  ``probe`` tiles are ordinary tasks flagged so a recovered
+assignment map.  ``probe`` batches are ordinary tasks flagged so a recovered
 node can be given one unit of work to re-earn scheduling share.
 
 These are the *transport* messages (what crosses an mp queue).  The
@@ -23,13 +25,12 @@ from __future__ import annotations
 
 import queue as queue_mod
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from multiprocessing.queues import Queue
-
-    from repro.compression import PackedTensor
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.telemetry.trace import TraceContext
 
 from .shm_arena import ShmRef
 
-__all__ = ["TileTask", "TileResult", "Shutdown", "ArenaGrant", "LOCAL_WORKER", "drain_queue"]
+__all__ = ["BatchTask", "BatchResult", "Shutdown", "ArenaGrant", "LOCAL_WORKER", "drain_queue"]
 
 #: Sentinel worker id for tiles the Central node computed itself (graceful
 #: degradation when no Conv node can accept work).
@@ -45,52 +46,53 @@ LOCAL_WORKER = -1
 
 
 @dataclass(frozen=True, slots=True)
-class TileTask:
-    """An input tile dispatched to a Conv node.
+class BatchTask:
+    """The input tiles of one image dispatched to one Conv node.
 
-    The tile data travels one of two ways, chosen per message by
-    :mod:`repro.runtime.transport`: by reference (``tile is None`` and
-    ``slot`` names a shared-memory slot the Central node wrote, so the queue
-    carries only this small descriptor and the worker computes from a
-    zero-copy view of the slot) or inline (``tile`` is the ndarray, pickled
-    with the message) when no slot is available.
+    The data travels one of two ways, chosen per message by
+    :mod:`repro.runtime.transport`: by reference (``slot`` describes the
+    shared-memory slot holding the image's whole tile-major stack
+    ``(tiles, N, C, h, w)``, so the queue carries only this small descriptor
+    and the worker computes from a zero-copy view of rows ``tile_ids``) or
+    inline (``block`` is the batch's tiles stacked ``(k·N, C, h, w)``,
+    pickled with the message) when no slot is available.
 
-    ``probe`` marks a recovery-probe tile: a single tile handed to a node
-    whose ``s_k`` statistic has decayed to zero so it can demonstrate it is
+    ``probe`` marks a recovery probe: a single tile handed to a node whose
+    ``s_k`` statistic has decayed to zero so it can demonstrate it is
     healthy again.  Workers treat probes exactly like normal tasks.
 
     ``trace`` is the request's frozen :class:`TraceContext` (DESIGN.md
     §5h): minted once at admission, carried across the IPC boundary here,
-    and echoed back verbatim on the :class:`TileResult` so every worker
+    and echoed back verbatim on the :class:`BatchResult` so every worker
     span joins the request's span tree.  ``None`` when tracing is off —
     the field costs nothing on the NullRecorder path.
     """
 
     image_id: int
-    tile_id: int
-    tile: np.ndarray | None = None
+    tile_ids: tuple[int, ...]
+    block: np.ndarray | None = None
     probe: bool = False
     slot: ShmRef | None = None
     trace: TraceContext | None = None
 
     def __post_init__(self) -> None:
-        if self.image_id < 0 or self.tile_id < 0:
-            raise ValueError("ids must be non-negative")
-        if self.tile is None and self.slot is None:
-            raise ValueError("a task needs either an inline tile or a slot descriptor")
+        if self.image_id < 0 or not self.tile_ids or min(self.tile_ids) < 0:
+            raise ValueError("a batch needs a non-negative image id and tile ids")
+        if (self.block is None) == (self.slot is None):
+            raise ValueError("a batch needs either an inline block or a slot descriptor")
 
 
-def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> list[TileTask]:
+def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> list[BatchTask]:
     """Drain undelivered messages from a dead worker's task queue.
 
-    Returns the :class:`TileTask` messages recovered (other message types
+    Returns the :class:`BatchTask` messages recovered (other message types
     are discarded).  A couple of short retries absorb the multiprocessing
     feeder-thread race where a just-put item is not yet readable.  The
     authoritative re-dispatch set is the Central node's assignment map —
     draining exists so a *restarted* worker on the same queue never sees
     stale tasks.
     """
-    drained: list[TileTask] = []
+    drained: list[BatchTask] = []
     misses = 0
     while misses <= retries:
         try:
@@ -101,64 +103,79 @@ def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> l
                 time.sleep(retry_delay)
             continue
         misses = 0
-        if isinstance(msg, TileTask):
+        if isinstance(msg, BatchTask):
             drained.append(msg)
     return drained
 
 
 @dataclass(frozen=True, slots=True)
-class TileResult:
-    """A Conv node's intermediate result for one tile.
+class BatchResult:
+    """A Conv node's intermediate results for one :class:`BatchTask`.
 
-    ``payload`` is a :class:`repro.compression.PackedTensor` when the §4
-    pipeline is enabled, otherwise a raw ndarray; on the queue either may be
-    replaced by the :class:`ShmRef` of the result-ring slot holding its
-    bytes, which the Central node materializes back before accepting it.
-    ``None`` only on a ``dropped`` marker.
+    ``payload`` is the batch's result bytes as **one** buffer: with the §4
+    pipeline on, the tiles' packed codec buffers (wire format v1 each) laid
+    back to back, ``extents`` giving every tile's ``(nbytes, raw_bits)``;
+    with it off, the raw stacked output ``(k·N, C', h', w')`` and no
+    extents.  On the queue the buffer may be replaced by the :class:`ShmRef`
+    of the one result-ring slot holding it, which the Central node
+    materializes back before accepting any tile.  ``None`` only on a
+    ``dropped`` marker.
 
-    Timing fields are measured worker-side and survive into the run result
-    (``InferenceOutcome``) and telemetry spans instead of being dropped:
-    ``compute_seconds`` covers dequeue → result built (delay + forward +
-    compress, the quantity Algorithm 2's rate credits use),
-    ``compress_seconds`` isolates the §4 pipeline, and
-    ``t_start``/``t_end`` are ``time.perf_counter()`` stamps
+    Timing is measured worker-side on ``time.perf_counter()``
     (CLOCK_MONOTONIC — comparable across forked processes on Linux, so the
-    Central node can place worker spans on a shared timeline).  All default
-    to 0 for results synthesized centrally (zero-fill / local fallback).
+    Central node can place worker spans on a shared timeline): ``t_start``
+    is the dequeue stamp, ``forward_seconds`` the one stacked forward (slot
+    attach and emulated delay included) and ``compress_seconds`` each tile's
+    own compress time plus an equal share of the one slot write.
+    :meth:`tile_spans` telescopes them into contiguous per-tile spans.
 
-    ``ring_fallback`` marks a result whose bytes *could* have used the
-    worker's shared-memory slot ring but shipped inline because every slot
-    was still held by the Central node (back-pressure); the collect loop
-    counts these so benchmarks can see ring exhaustion under load.
+    ``ring_fallback`` marks a batch whose bytes *could* have used the
+    worker's result ring but shipped inline because every slot was still
+    held by the Central node (back-pressure); the collect loop counts these
+    so benchmarks can see ring exhaustion under load.
 
     ``dropped`` marks a *non*-result: the worker could not attach the
-    task's shm slot because it was unlinked under it (shutdown race), so no
-    tile was computed and ``payload`` is ``None``.  The collect loop counts
-    these (``adcnn_worker_dropped_tasks_total``) instead of treating them
-    as answers — the tile stays unanswered and follows the normal
-    re-dispatch/zero-fill path.
+    batch's shm slot because it was unlinked under it (shutdown race), so
+    nothing was computed and ``payload`` is ``None``.  The collect loop
+    counts one ``adcnn_worker_dropped_tasks_total`` per tile instead of
+    treating them as answers — the tiles stay unanswered and follow the
+    normal re-dispatch/zero-fill path.
     """
 
     image_id: int
-    tile_id: int
-    payload: PackedTensor | np.ndarray | ShmRef | None
+    tile_ids: tuple[int, ...]
+    payload: np.ndarray | ShmRef | None
     worker: int
-    compute_seconds: float = 0.0
-    compress_seconds: float = 0.0
+    extents: tuple[tuple[int, int], ...] = ()
     t_start: float = 0.0
-    t_end: float = 0.0
+    forward_seconds: float = 0.0
+    compress_seconds: tuple[float, ...] = ()
     ring_fallback: bool = False
     dropped: bool = False
-    #: Echo of the dispatching task's trace context (``None`` for results
-    #: synthesized centrally or when tracing is off).
+    #: Echo of the dispatching task's trace context (``None`` when tracing is off).
     trace: TraceContext | None = None
+
+    def tile_spans(self) -> Iterator[tuple[float, float, float]]:
+        """Per-tile ``(t_start, compute_seconds, compress_seconds)``.
+
+        Each tile is credited an equal share of the stacked forward plus its
+        own compress time; the spans tile ``[t_start, result put]``
+        contiguously, so the per-tile ``compute_seconds`` sum exactly to the
+        batch's measured wall time (the telemetry invariant the tracing
+        tests assert).
+        """
+        share = self.forward_seconds / len(self.tile_ids)
+        start = self.t_start
+        for compress in self.compress_seconds:
+            yield start, share + compress, compress
+            start += share + compress
 
 
 @dataclass(frozen=True, slots=True)
 class ArenaGrant:
     """Control message granting a worker its result-slot ring.
 
-    Sent through the task queue before any :class:`TileTask` that expects
+    Sent through the task queue before any :class:`BatchTask` that expects
     shared-memory results: ``slot_names`` are Central-created segments the
     worker cycles through (``cursor % len(slot_names)``), gated by a
     fork-inherited semaphore of the same size.  A respawned worker gets a

@@ -96,7 +96,7 @@ from .controller import (
     WorkerDied,
     WorkerRevived,
 )
-from .messages import LOCAL_WORKER, ArenaGrant, Shutdown, TileResult, TileTask, drain_queue
+from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown, drain_queue
 from .policies import AllocationPolicy
 from .transport import CentralEndpoint, WorkerEndpoint
 
@@ -111,10 +111,9 @@ class _ImageState(TypedDict):
     tiles: list[np.ndarray]
     allocation: np.ndarray
     assignment: dict[int, int]
-    results: dict[int, TileResult]
+    results: dict[int, PackedTensor | np.ndarray]
     received: np.ndarray
     busy: np.ndarray
-    wall: np.ndarray
     local: list[int]
     enqueue_ts: dict[int, float]
     deadline: float
@@ -128,31 +127,6 @@ class _ImageState(TypedDict):
 __all__ = ["ProcessClusterConfig", "InferenceOutcome", "ProcessCluster", "StreamEngine"]
 
 
-def _drain_same_image(
-    first: TileTask, task_queue: mp.Queue
-) -> tuple[list[TileTask], Any]:
-    """Coalesce every immediately-available task for ``first``'s image.
-
-    Returns the batch plus a *carry*: the first message that broke the run
-    (different image, grant, shutdown, or ``None`` when the queue emptied).
-    The carry is re-processed before the next blocking get, so queue order
-    is preserved exactly.
-    """
-    batch = [first]
-    carry: Any = None
-    while True:
-        try:
-            nxt = task_queue.get_nowait()
-        except queue_mod.Empty:
-            break
-        if isinstance(nxt, TileTask) and nxt.image_id == first.image_id:
-            batch.append(nxt)
-        else:
-            carry = nxt
-            break
-    return batch, carry
-
-
 def _worker_loop(
     worker_id: int,
     separable: nn.Sequential,
@@ -164,104 +138,75 @@ def _worker_loop(
 ) -> None:
     """Conv-node main loop (runs in a forked child process).
 
-    Input tiles are read from, and results staged through, the worker's
-    transport ``endpoint`` (:mod:`repro.runtime.transport`); a result is
-    packed codec bytes (pipeline on) or a raw array (pipeline off).
+    The batch is the message (DESIGN.md §5i): every :class:`BatchTask` is
+    answered by exactly one :class:`BatchResult`.  Its input block is read
+    from, and its results staged through, the worker's transport
+    ``endpoint`` (:mod:`repro.runtime.transport`); the block runs as one
+    stacked forward (identically-shaped tiles) through the fused no-grad
+    kernels when the stack compiles, with the emulated per-tile delay scaled
+    by the batch size, and each tile's output is then compressed on its own
+    (pipeline on) or left in the raw stacked output (pipeline off).
 
-    All immediately-available tasks for the *same image* are coalesced into
-    one stacked forward (identically-shaped tiles, DESIGN.md §5i) through
-    the fused no-grad kernels when the stack compiles, with the emulated
-    per-tile delay scaled by the batch size.  Timing attribution telescopes
-    the batch envelope into per-tile spans: each tile is credited an equal
-    share of the one stacked forward plus its own measured compress time,
-    so the per-tile ``compute_seconds`` still sum exactly to the measured
-    wall time (the telemetry invariant the tracing tests assert).
-
-    A task whose tile cannot be read (its slot was unlinked under us in a
-    shutdown race) produces a ``dropped`` marker result instead of vanishing
-    silently, so the Central node can count it; the tile itself stays
-    unanswered and follows the normal re-dispatch/zero-fill path.
+    A batch whose block cannot be read (its slot was unlinked under us in a
+    shutdown race) produces a ``dropped`` marker instead of vanishing
+    silently, so the Central node can count it; the tiles themselves stay
+    unanswered and follow the normal re-dispatch/zero-fill path.
     """
     separable.eval()
     fused = nn.try_compile(separable)
-    carry: Any = None
     try:
         while True:
-            if carry is not None:
-                msg, carry = carry, None
-            else:
-                msg = task_queue.get()
+            msg = task_queue.get()
             if isinstance(msg, Shutdown):
                 break
             if isinstance(msg, ArenaGrant):
                 endpoint.accept(msg)
                 continue
-            assert isinstance(msg, TileTask)
-            batch, carry = _drain_same_image(msg, task_queue)
+            assert isinstance(msg, BatchTask)
             t_start = time.perf_counter()
-            tiles = [endpoint.read(task) for task in batch]
-            live = [t for t in tiles if t is not None]
-            if delay_per_tile > 0 and live:
-                # Emulated slow device (cpulimit stand-in), one sleep for
-                # the whole batch: k tiles cost k * delay, as before.
-                time.sleep(delay_per_tile * len(live))
-            outs: list[np.ndarray] = []
-            if live:
-                block = live[0] if len(live) == 1 else np.concatenate(live, axis=0)
-                if fused is not None:
-                    out_block = fused(block)
-                else:
-                    with nn.no_grad():
-                        out_block = separable(Tensor(block)).data
-                if len(live) == 1:
-                    outs = [out_block]
-                else:
-                    n = live[0].shape[0]
-                    outs = [out_block[i * n : (i + 1) * n] for i in range(len(live))]
-            t_forward = time.perf_counter()
-            # Telescoped per-tile spans: equal share of the stacked forward
-            # (incl. delay + attach) + each tile's own compress time.  The
-            # spans tile [t_start, last put] contiguously and exactly.
-            share = (t_forward - t_start) / len(live) if live else 0.0
-            span_start = t_start
-            prev = t_forward
-            out_iter = iter(outs)
-            for task, tile in zip(batch, tiles):
-                if tile is None:
-                    result_queue.put(
-                        TileResult(
-                            image_id=task.image_id,
-                            tile_id=task.tile_id,
-                            payload=None,
-                            worker=worker_id,
-                            dropped=True,
-                            trace=task.trace,
-                        )
-                    )
-                    continue
-                out = next(out_iter)
-                payload, ring_fallback = endpoint.stage_result(
-                    pipeline.compress_packed(out) if pipeline is not None else out
-                )
-                now = time.perf_counter()
-                compress_seconds = now - prev
-                prev = now
-                span_end = span_start + share + compress_seconds
+            k = len(msg.tile_ids)
+            block = endpoint.read(msg)
+            if block is None:
                 result_queue.put(
-                    TileResult(
-                        image_id=task.image_id,
-                        tile_id=task.tile_id,
-                        payload=payload,
-                        worker=worker_id,
-                        compute_seconds=span_end - span_start,
-                        compress_seconds=compress_seconds,
-                        t_start=span_start,
-                        t_end=span_end,
-                        ring_fallback=ring_fallback,
-                        trace=task.trace,
-                    )
+                    BatchResult(msg.image_id, msg.tile_ids, None, worker_id,
+                                dropped=True, trace=msg.trace)
                 )
-                span_start = span_end
+                continue
+            if delay_per_tile > 0:
+                # Emulated slow device (cpulimit stand-in), one sleep for
+                # the whole batch: k tiles cost k * delay.
+                time.sleep(delay_per_tile * k)
+            if fused is not None:
+                out_block = fused(block)
+            else:
+                with nn.no_grad():
+                    out_block = separable(Tensor(block)).data
+            t_forward = prev = time.perf_counter()
+            compress = [0.0] * k
+            results: list[PackedTensor] | np.ndarray = out_block
+            if pipeline is not None:
+                n = out_block.shape[0] // k
+                results = []
+                for i in range(k):
+                    results.append(pipeline.compress_packed(out_block[i * n : (i + 1) * n]))
+                    now = time.perf_counter()
+                    compress[i], prev = now - prev, now
+            payload, extents, ring_fallback = endpoint.stage_result(results)
+            staging = (time.perf_counter() - prev) / k  # the one slot write, shared
+            result_queue.put(
+                BatchResult(
+                    image_id=msg.image_id,
+                    tile_ids=msg.tile_ids,
+                    payload=payload,
+                    worker=worker_id,
+                    extents=extents,
+                    t_start=t_start,
+                    forward_seconds=t_forward - t_start,
+                    compress_seconds=tuple(c + staging for c in compress),
+                    ring_fallback=ring_fallback,
+                    trace=msg.trace,
+                )
+            )
     finally:
         endpoint.close()
 
@@ -317,8 +262,9 @@ class InferenceOutcome:
     #: Worker-measured seconds, summed per worker over this image's tiles:
     #: ``compute_seconds_per_worker`` is dequeue → result built (the busy
     #: time Algorithm 2's rate credits use); ``wall_seconds_per_worker``
-    #: is the same envelope from the worker's own clock stamps.  Empty for
-    #: images where no worker replied.
+    #: is the same envelope (the per-tile spans tile each batch's measured
+    #: wall time exactly, so the two are equal).  Empty for images where no
+    #: worker replied.
     compute_seconds_per_worker: np.ndarray = field(default_factory=lambda: np.zeros(0))
     wall_seconds_per_worker: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -540,19 +486,18 @@ class ProcessCluster:
         """How many times each worker has been respawned."""
         return list(self._restart_counts)
 
-    def _alive_mask(self) -> np.ndarray:
-        return np.array([p.is_alive() for p in self._procs], dtype=bool)
-
-    def _supervise(self, inflight: dict[int, _ImageState]) -> None:
+    def _supervise(self, inflight: dict[int, _ImageState]) -> tuple[bool, ...]:
         """Detect dead workers, drain + re-dispatch their work, restart them.
 
         Called from the collect loops and before every dispatch, so death is
         noticed within ``poll_interval`` while results are pending and at
-        the latest at the next image.
+        the latest at the next image.  Returns the liveness mask it read
+        (one ``waitpid`` per worker), respawns included.
         """
         now = time.monotonic()
-        for wid, proc in enumerate(self._procs):
-            if proc.is_alive():
+        alive = [proc.is_alive() for proc in self._procs]
+        for wid, up in enumerate(alive):
+            if up:
                 continue
             if wid not in self._known_dead:
                 self._known_dead.add(wid)
@@ -580,14 +525,15 @@ class ProcessCluster:
                     if pending:
                         self._redispatch_tids[image_id] = pending
                         lost.append((image_id, len(pending)))
-                alive = tuple(bool(a) for a in self._alive_mask())
                 self._execute(
-                    self._controller.handle(WorkerDied(now, wid, alive, tuple(lost))),
+                    self._controller.handle(WorkerDied(now, wid, tuple(alive), tuple(lost))),
                     inflight,
                 )
                 self._redispatch_tids.clear()
             elif self._restart_at[wid] is not None and now >= self._restart_at[wid]:
                 self._respawn(wid)
+                alive[wid] = True
+        return tuple(alive)
 
     def _respawn(self, worker_id: int) -> None:
         # A worker killed while blocked in ``task_queue.get()`` (or mid-put
@@ -628,7 +574,7 @@ class ProcessCluster:
                 with nn.no_grad():
                     out = self._separable(Tensor(tile)).data
             payload = self.pipeline.compress_packed(out) if self.pipeline is not None else out
-            st["results"][tid] = TileResult(image_id, tid, payload, LOCAL_WORKER)
+            st["results"][tid] = payload
             st["assignment"][tid] = LOCAL_WORKER
             st["local"].append(tid)
             self._execute(
@@ -637,31 +583,31 @@ class ProcessCluster:
             )
 
     def _enqueue(
-        self, node: int, image_id: int, tile_ids: Iterable[int], st: _ImageState, probe: bool = False
+        self, node: int, image_id: int, tile_ids: Sequence[int], st: _ImageState, probe: bool = False
     ) -> None:
-        """Queue tiles onto a worker (first dispatch or fault re-dispatch)."""
+        """Queue one batch onto a worker (first dispatch or fault re-dispatch):
+        one task message, whatever the tile count."""
         if self._endpoint.needs_ring(node):
-            # First work for this incarnation: size its result slots for the
-            # worst case — the raw float32 output or the packed codec's
-            # bound, whichever is larger.
+            # First work for this incarnation: size its result slots for a
+            # whole image's worst case — the raw float32 output or the packed
+            # codec's bound, whichever is larger — so any batch fits one slot.
             out_shape = self._tile_output_shape(st["tiles"][0])
             n_out = int(np.prod(out_shape))
             nbytes = n_out * 4
             if self.pipeline is not None:
                 nbytes = max(nbytes, max_packed_nbytes(
                     n_out, len(out_shape), self.pipeline.bits, self.pipeline.run_bits))
-            self._endpoint.grant_ring(node, nbytes, self._task_queues[node])
-        # Tasks carry the request's frozen trace context across the IPC
-        # boundary; the worker echoes it back on the TileResult (§5h).
+            self._endpoint.grant_ring(node, nbytes * len(st["tiles"]), self._task_queues[node])
+        # The task carries the request's frozen trace context across the IPC
+        # boundary; the worker echoes it back on the BatchResult (§5h).
         scope = st["scope"]
         trace = scope.context() if scope is not None else None
-        for tid in tile_ids:
-            st["assignment"][tid] = node
-            if self.telemetry.enabled:
-                st["enqueue_ts"][tid] = time.perf_counter()
-            self._task_queues[node].put(
-                self._endpoint.task(image_id, tid, st["tiles"][tid], probe=probe, trace=trace)
-            )
+        st["assignment"].update(dict.fromkeys(tile_ids, node))
+        if self.telemetry.enabled:
+            st["enqueue_ts"].update(dict.fromkeys(tile_ids, time.perf_counter()))
+        self._task_queues[node].put(
+            self._endpoint.task(image_id, tile_ids, st["tiles"], probe=probe, trace=trace)
+        )
 
     # -------------------------------------------------------------- inference
     def validate_image(self, image: np.ndarray) -> np.ndarray:
@@ -734,12 +680,10 @@ class ProcessCluster:
         tel = self.telemetry
         st = inflight.pop(image_id)
         trig: TriggerMerge | None = st["trigger"]
-        # Reclaim task slots still held (deadline-missed tiles keep
-        # theirs until now).  A straggler worker may later read a
-        # recycled slot and return garbage — harmless, because its
+        # Reclaim the image's task slot.  A straggler worker may later read
+        # the recycled slot and return garbage — harmless, because its
         # result carries this (now-retired) image_id and gets dropped.
-        for tile_id in range(len(st["tiles"])):
-            self._endpoint.release_task(image_id, tile_id)
+        self._endpoint.release_task(image_id)
         t_merge = time.perf_counter()
         out_tiles, missing = self._materialize_tiles(st["tiles"], st["results"])
         feature_map = reassemble_array(out_tiles, self.grid)
@@ -756,13 +700,12 @@ class ProcessCluster:
                      **(scope.child_fields() if scope is not None else {}))
             tel.span(STAGE_CENTRAL, t_rest, t_done - t_rest, node="central", image_id=image_id,
                      **(scope.child_fields() if scope is not None else {}))
-            for res in st["results"].values():
-                payload = res.payload
+            for payload in st["results"].values():
                 if isinstance(payload, PackedTensor):
                     # The measured buffer length is the honest wire count.
                     tel.count("adcnn_bits_wire_total", payload.wire_bits, direction="down")
                     tel.count("adcnn_bits_raw_total", payload.raw_bits, direction="down")
-                elif isinstance(payload, np.ndarray):
+                else:
                     tel.count("adcnn_bits_wire_total", payload.nbytes * 8, direction="down")
                     tel.count("adcnn_bits_raw_total", payload.nbytes * 8, direction="down")
             latency = t_done - st["start"]
@@ -786,7 +729,7 @@ class ProcessCluster:
             locally_computed_tiles=sorted(st["local"]),
             wall_seconds=t_done - st["start"],
             compute_seconds_per_worker=st["busy"].copy(),
-            wall_seconds_per_worker=st["wall"].copy(),
+            wall_seconds_per_worker=st["busy"].copy(),
         )
         self._execute(
             self._controller.handle(MergeCompleted(time.monotonic(), image_id)),
@@ -887,13 +830,14 @@ class ProcessCluster:
         assignment map staged in ``_redispatch_tids``)."""
         pending = self._redispatch_tids.get(cmd.image_id, [])
         take, self._redispatch_tids[cmd.image_id] = pending[: cmd.count], pending[cmd.count:]
+        if not take:
+            return
         if cmd.node == LOCAL_WORKER:
             # No survivors left: the central process computes the tiles.
             self._compute_locally(cmd.image_id, take, st, inflight)
             return
         self._enqueue(cmd.node, cmd.image_id, take, st)
-        if take:
-            self.telemetry.count("adcnn_tiles_dispatched_total", len(take), node=f"worker{cmd.node}")
+        self.telemetry.count("adcnn_tiles_dispatched_total", len(take), node=f"worker{cmd.node}")
 
     def _sweep_results(self, inflight: dict[int, _ImageState]) -> bool:
         """Drain every worker's result channel; True if anything arrived."""
@@ -902,65 +846,76 @@ class ProcessCluster:
         for q in list(self._result_queues):
             while True:
                 try:
-                    res: TileResult = q.get_nowait()
+                    res: BatchResult = q.get_nowait()
                 except queue_mod.Empty:
                     break
                 got = True
                 recv = time.perf_counter() if tel.enabled else 0.0
+                node = f"worker{res.worker}"
                 if res.ring_fallback:
                     # The worker wanted a ring slot but every permit was
                     # held here — back-pressure made it ship inline.
-                    tel.count(
-                        "adcnn_result_ring_fallback_total", node=f"worker{res.worker}"
-                    )
+                    tel.count("adcnn_result_ring_fallback_total", node=node)
                 if res.dropped:
-                    # The worker could not attach the task's shm slot
+                    # The worker could not attach the batch's shm slot
                     # (unlinked mid-shutdown) — no tile was computed.
-                    # Count it and leave the tile unanswered so the normal
-                    # re-dispatch/zero-fill machinery covers it.
-                    tel.count(
-                        "adcnn_worker_dropped_tasks_total", node=f"worker{res.worker}"
-                    )
+                    # Count them and leave the tiles unanswered so the normal
+                    # re-dispatch/zero-fill machinery covers them.
+                    tel.count("adcnn_worker_dropped_tasks_total", len(res.tile_ids), node=node)
                     continue
-                # Materialize BEFORE any accept/drop decision: even a result
+                # Materialize BEFORE any accept/drop decision: even a batch
                 # we end up dropping must have its semaphore permit returned,
                 # or the worker's ring shrinks by one slot forever.
-                res = self._endpoint.materialize(res)
-                if res is None:
-                    continue  # descriptor from a replaced worker incarnation
+                try:
+                    payloads = self._endpoint.materialize(res)
+                except Exception:
+                    # Corrupt result bytes: unanswered like a dropped batch,
+                    # but counted so T_L is not the only trace of it.
+                    tel.count("adcnn_result_corrupt_total", len(res.tile_ids), node=node)
+                    continue
                 target = inflight.get(res.image_id)
-                if target is None or res.tile_id in target["results"]:
-                    continue  # stale image or duplicate after a re-dispatch race
-                target["results"][res.tile_id] = res
-                self._endpoint.release_task(res.image_id, res.tile_id)
-                if 0 <= res.worker < self.config.num_workers:
+                if payloads is None or target is None:
+                    continue  # replaced worker incarnation, or stale image
+                for tile_id, payload, span in zip(res.tile_ids, payloads, res.tile_spans()):
+                    if tile_id in target["results"]:
+                        continue  # duplicate after a re-dispatch race
+                    busy = span[1]
+                    target["results"][tile_id] = payload
                     target["received"][res.worker] += 1
-                    target["busy"][res.worker] += res.compute_seconds
-                    if res.t_end > 0:
-                        target["wall"][res.worker] += res.t_end - res.t_start
-                    if tel.enabled and res.t_end > 0:
-                        self._record_tile_spans(res, target, recv)
-                self._execute(
-                    self._controller.handle(
-                        ResultReceived(
-                            time.monotonic(), res.image_id, res.worker,
-                            busy_seconds=res.compute_seconds,
-                        )
-                    ),
-                    inflight,
-                )
+                    target["busy"][res.worker] += busy
+                    if tel.enabled:
+                        self._record_tile_spans(res, tile_id, span, target, recv)
+                    self._execute(
+                        self._controller.handle(
+                            ResultReceived(
+                                time.monotonic(), res.image_id, res.worker, busy_seconds=busy
+                            )
+                        ),
+                        inflight,
+                    )
         return got
 
-    def _record_tile_spans(self, res: TileResult, st: _ImageState, recv: float) -> None:
-        """Worker-side timestamps → transfer/compute/compress/return spans.
+    def _record_tile_spans(
+        self,
+        res: BatchResult,
+        tile_id: int,
+        span: tuple[float, float, float],
+        st: _ImageState,
+        recv: float,
+    ) -> None:
+        """One tile's worker-side ``span`` (:meth:`BatchResult.tile_spans`) →
+        transfer/compute/compress/return spans.
 
         ``perf_counter`` is CLOCK_MONOTONIC on Linux, shared across forked
         workers, so worker stamps and central stamps sit on one timeline.
         """
         tel = self.telemetry
-        node = f"worker{res.worker}"
+        t_start, busy, compress = span
         scope = st["scope"]
         ctx = res.trace
+        fields: dict[str, Any] = {
+            "node": f"worker{res.worker}", "image_id": res.image_id, "tile_id": tile_id,
+        }
 
         def _trace_fields() -> dict[str, int]:
             # Trace identity comes from the context the *worker echoed*
@@ -974,29 +929,27 @@ class ProcessCluster:
                 "parent_id": ctx.span_id,
             }
 
-        enqueued = st["enqueue_ts"].get(res.tile_id)
+        enqueued = st["enqueue_ts"].get(tile_id)
         if enqueued is not None:
-            tel.span(STAGE_TRANSFER, enqueued, max(res.t_start - enqueued, 0.0),
-                     node=node, image_id=res.image_id, tile_id=res.tile_id, **_trace_fields())
-        forward = max(res.compute_seconds - res.compress_seconds, 0.0)
-        tel.span(STAGE_CONV_COMPUTE, res.t_start, forward,
-                 node=node, image_id=res.image_id, tile_id=res.tile_id, **_trace_fields())
-        if res.compress_seconds > 0:
-            tel.span(STAGE_COMPRESS, res.t_start + forward, res.compress_seconds,
-                     node=node, image_id=res.image_id, tile_id=res.tile_id, **_trace_fields())
-        tel.span(STAGE_RESULT_TRANSFER, res.t_end, max(recv - res.t_end, 0.0),
-                 node=node, image_id=res.image_id, tile_id=res.tile_id, **_trace_fields())
+            tel.span(STAGE_TRANSFER, enqueued, max(t_start - enqueued, 0.0),
+                     **fields, **_trace_fields())
+        forward = max(busy - compress, 0.0)
+        tel.span(STAGE_CONV_COMPUTE, t_start, forward, batch=len(res.tile_ids),
+                 **fields, **_trace_fields())
+        if compress > 0:
+            tel.span(STAGE_COMPRESS, t_start + forward, compress, **fields, **_trace_fields())
+        t_end = t_start + busy
+        tel.span(STAGE_RESULT_TRANSFER, t_end, max(recv - t_end, 0.0), **fields, **_trace_fields())
 
     def _materialize_tiles(
-        self, tiles: list[np.ndarray], results: dict[int, TileResult]
+        self, tiles: list[np.ndarray], results: dict[int, PackedTensor | np.ndarray]
     ) -> tuple[list[np.ndarray], list[int]]:
         """Decompress received tiles; zero-fill the rest (§6.1)."""
         shape = self._tile_output_shape(tiles[0])
         out: list[np.ndarray] = []
         missing: list[int] = []
         for tile_id in range(len(tiles)):
-            res = results.get(tile_id)
-            payload = res.payload if res is not None else None
+            payload = results.get(tile_id)
             if isinstance(payload, PackedTensor) and self.pipeline is not None:
                 out.append(self.pipeline.decompress(payload))
             elif isinstance(payload, np.ndarray):
@@ -1073,7 +1026,7 @@ class StreamEngine:
         cluster = self._cluster
         if not cluster._controller.can_dispatch:
             raise RuntimeError("pipeline window is full — check can_dispatch first")
-        cluster._supervise(self._inflight)
+        alive = cluster._supervise(self._inflight)
         image_id = cluster._image_counter
         cluster._image_counter += 1
         tel = cluster.telemetry
@@ -1086,7 +1039,6 @@ class StreamEngine:
         tiles = split_array(image, cluster.grid)
         cluster._endpoint.size_task_arena(tiles, cluster._controller.window)
         now = time.monotonic()
-        alive = tuple(bool(a) for a in cluster._alive_mask())
         cmds = cluster._controller.handle(ImageReady(now, image_id, len(tiles), alive))
         start = time.perf_counter()
         if tel.enabled and scope is not None and trace is not None:
@@ -1107,7 +1059,6 @@ class StreamEngine:
             "results": {},
             "received": np.zeros(cluster.config.num_workers, dtype=int),
             "busy": np.zeros(cluster.config.num_workers),
-            "wall": np.zeros(cluster.config.num_workers),
             "local": [],
             "enqueue_ts": {},
             "deadline": now + cluster.config.t_limit,

@@ -37,26 +37,22 @@ __all__ = [
     "close_attachments",
     "shm_available",
     "write_array",
-    "write_bytes",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class ShmRef:
-    """Picklable descriptor of bytes sitting in a shared-memory slot.
+    """Picklable descriptor of an ndarray sitting in a shared-memory slot.
 
-    This is all that crosses the IPC queue for a slot-staged message:
-    ``kind="raw"`` describes an ndarray (``shape``/``dtype`` set) and
-    ``kind="packed"`` a self-describing packed-codec buffer of ``nbytes``
-    (``raw_bits`` carries the pre-compression size for telemetry).
+    This is all that crosses the IPC queue for a slot-staged message: an
+    image's tile stack on the way out, a batch's result buffer (raw output
+    block, or ``uint8`` packed-codec bytes) on the way back.
     """
 
     name: str
     nbytes: int
-    kind: str = "raw"  # "raw" | "packed"
-    shape: tuple[int, ...] = ()
-    dtype: str = ""
-    raw_bits: int = 0
+    shape: tuple[int, ...]
+    dtype: str
 
 
 class SlotArena:
@@ -137,21 +133,9 @@ def write_array(slot: shared_memory.SharedMemory, arr: np.ndarray) -> ShmRef:
     return ShmRef(
         name=slot.name,
         nbytes=arr.nbytes,
-        kind="raw",
         shape=tuple(int(d) for d in arr.shape),
         dtype=str(arr.dtype),
     )
-
-
-def write_bytes(
-    slot: shared_memory.SharedMemory, buf: np.ndarray, raw_bits: int = 0
-) -> ShmRef:
-    """Copy a packed-codec ``uint8`` buffer into a slot."""
-    buf = np.ascontiguousarray(buf, dtype=np.uint8).reshape(-1)
-    if buf.nbytes > slot.size:
-        raise ValueError(f"{buf.nbytes}-byte buffer does not fit {slot.size}-byte slot")
-    np.frombuffer(slot.buf, dtype=np.uint8, count=buf.nbytes)[:] = buf
-    return ShmRef(name=slot.name, nbytes=buf.nbytes, kind="packed", raw_bits=raw_bits)
 
 
 def attach_slot(
@@ -173,16 +157,13 @@ def attach_slot(
 def attach_array(
     cache: dict[str, shared_memory.SharedMemory], ref: ShmRef
 ) -> np.ndarray:
-    """Attach (with caching) and view a slot's contents — zero copies.
+    """Attach (with caching) and view a slot's array — zero copies.
 
-    ``kind="raw"`` returns an ndarray view; ``kind="packed"`` a ``uint8``
-    view of the buffer bytes.  The view aliases shared memory: consume it
-    before the owner recycles the slot (the cluster protocol guarantees
-    the slot is stable until this tile's result is recorded).
+    The view aliases shared memory: consume it before the owner recycles
+    the slot (the cluster protocol guarantees an image's slot is stable
+    until the image finalizes).
     """
     shm = attach_slot(cache, ref.name)
-    if ref.kind == "packed":
-        return np.frombuffer(shm.buf, dtype=np.uint8, count=ref.nbytes)
     return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf)
 
 

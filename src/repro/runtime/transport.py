@@ -1,7 +1,9 @@
 """The one Central↔Conv tile transport (DESIGN.md §5d).
 
-Tile bytes cross the process boundary one of two ways, chosen **per
-message** from what the code can observe — never from a setting:
+The wire unit is the controller's batch (one :class:`BatchTask` out, one
+:class:`BatchResult` back).  A batch's bytes cross the process boundary one
+of two ways, chosen **per message** from what the code can observe — never
+from a setting:
 
 - through a shared-memory slot (:mod:`repro.runtime.shm_arena`), with only a
   small :class:`ShmRef` descriptor on the queue, when POSIX shared memory
@@ -18,7 +20,7 @@ each worker loop the :class:`WorkerEndpoint` it inherited through fork.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Sequence
 from multiprocessing import shared_memory
 from multiprocessing.context import ForkContext
 from multiprocessing.synchronize import Semaphore
@@ -32,7 +34,7 @@ import numpy as np
 from repro.compression import PackedStream, PackedTensor
 from repro.telemetry.trace import TraceContext
 
-from .messages import ArenaGrant, TileResult, TileTask
+from .messages import ArenaGrant, BatchResult, BatchTask
 from .shm_arena import (
     ShmRef,
     SlotArena,
@@ -41,17 +43,17 @@ from .shm_arena import (
     close_attachments,
     shm_available,
     write_array,
-    write_bytes,
 )
 
 __all__ = ["CentralEndpoint", "WorkerEndpoint", "RESULT_RING_SLOTS"]
 
-#: Result slots per worker (ring size == semaphore permits).
+#: Result slots per worker (ring size == semaphore permits).  One slot holds
+#: one batch, and at most ``window`` batches per worker are outstanding.
 RESULT_RING_SLOTS = 4
 
 
 class WorkerEndpoint:
-    """Conv-node side: read task tiles, stage results.
+    """Conv-node side: read a batch's input block, stage its results.
 
     Built by :meth:`CentralEndpoint.worker_endpoint` *before* fork so the
     ring semaphore is inherited (an ``mp.Semaphore`` cannot cross a queue);
@@ -68,56 +70,63 @@ class WorkerEndpoint:
         """Adopt the result ring the Central node just created for us."""
         self._grant, self._cursor = grant, 0
 
-    def read(self, task: TileTask) -> np.ndarray | None:
-        """The task's input tile: inline, or a zero-copy view of its slot.
+    def read(self, task: BatchTask) -> np.ndarray | None:
+        """The batch's stacked ``(k·N, C, h, w)`` input: inline, or a
+        zero-copy view of its rows in the image's slot (a re-dispatched,
+        non-contiguous subset is gathered instead).
 
         ``None`` when the slot was unlinked under us (shutdown race) — the
         caller answers with a ``dropped`` marker instead of a result.
         """
         if task.slot is None:
-            return task.tile
+            return task.block
         try:
-            return attach_array(self._attachments, task.slot)
+            stack = attach_array(self._attachments, task.slot)
         except FileNotFoundError:
             return None
+        ids = task.tile_ids
+        if ids == tuple(range(ids[0], ids[0] + len(ids))):
+            rows = stack[ids[0] : ids[0] + len(ids)]
+        else:
+            rows = stack[list(ids)]
+        return rows.reshape(-1, *stack.shape[2:])
 
     def stage_result(
-        self, payload: PackedTensor | np.ndarray
-    ) -> tuple[PackedTensor | np.ndarray | ShmRef, bool]:
-        """Move a result's bytes into the slot ring, if possible.
+        self, results: Sequence[PackedTensor] | np.ndarray
+    ) -> tuple[np.ndarray | ShmRef, tuple[tuple[int, int], ...], bool]:
+        """Lay a batch's results out as one buffer and move it into one
+        ring slot, if possible.
 
-        Returns ``(payload_or_descriptor, ring_fallback)``.  Ships the
-        payload inline when no ring was granted, the ring is full, the bytes
-        outgrow the slot, or the arena has vanished — correctness never
-        depends on slot capacity.  The ring-full probe is **non-blocking**:
-        a slow-draining Central node must never stall the worker
-        (head-of-line blocking for every queued tile behind this one); that
-        case alone is reported as ``ring_fallback`` so the collect loop can
-        count ring exhaustion in telemetry.
+        ``results`` is the tiles' packed tensors (laid back to back, one
+        ``(nbytes, raw_bits)`` extent each) or the raw stacked output (no
+        extents).  Returns ``(buffer_or_descriptor, extents, ring_fallback)``.
+        Ships the buffer inline when no ring was granted, the ring is full,
+        the bytes outgrow the slot, or the arena has vanished — correctness
+        never depends on slot capacity.  The ring-full probe is
+        **non-blocking**: a slow-draining Central node must never stall the
+        worker (head-of-line blocking for every queued batch behind this
+        one); that case alone is reported as ``ring_fallback`` so the
+        collect loop can count ring exhaustion in telemetry.
         """
-        grant, sem = self._grant, self._sem
-        if grant is None or sem is None:
-            return payload, False
-        if isinstance(payload, PackedTensor):
-            data = payload.packed.buffer
+        extents: tuple[tuple[int, int], ...] = ()
+        if isinstance(results, np.ndarray):
+            data = np.ascontiguousarray(results)
         else:
-            data = np.ascontiguousarray(payload)
-        if data.nbytes > grant.slot_nbytes:
-            return payload, False
+            extents = tuple((p.packed.buffer.nbytes, p.raw_bits) for p in results)
+            data = np.concatenate([p.packed.buffer for p in results])
+        grant, sem = self._grant, self._sem
+        if grant is None or sem is None or data.nbytes > grant.slot_nbytes:
+            return data, extents, False
         if not sem.acquire(block=False):
-            return payload, True  # central is slow to drain; ship inline
+            return data, extents, True  # central is slow to drain; ship inline
         name = grant.slot_names[self._cursor % len(grant.slot_names)]
         try:
-            shm = attach_slot(self._attachments, name)
-            if isinstance(payload, PackedTensor):
-                ref = write_bytes(shm, data, raw_bits=payload.raw_bits)
-            else:
-                ref = write_array(shm, data)
+            ref = write_array(attach_slot(self._attachments, name), data)
         except Exception:
             sem.release()
-            return payload, False
+            return data, extents, False
         self._cursor += 1
-        return ref, False
+        return ref, extents, False
 
     def close(self) -> None:
         close_attachments(self._attachments)
@@ -127,24 +136,25 @@ class CentralEndpoint:
     """Central-node side: stage task tiles, grant result rings, copy results out.
 
     **Task slots** live in one arena sized lazily off the first dispatched
-    image.  A tile keeps its slot across fault re-dispatch (the data is
-    still valid, so a re-queued task re-ships only the descriptor) until its
-    result arrives or its image finalizes, keyed by ``(image_id, tile_id)``;
-    a dead worker therefore can never leak a task slot.
+    image: ``max(2, window)`` slots, each holding one image's whole
+    tile-major stack.  An image keeps its slot from its first batch until it
+    finalizes, keyed by ``image_id``, so every batch of the image — a fault
+    re-dispatch included — ships only a descriptor of the same bytes, and a
+    dead worker can never leak a task slot.
 
     **Result rings** are per worker, gated by a fork-inherited semaphore:
-    the worker acquires before writing slot ``cursor % R``, and
-    :meth:`materialize` releases after copying the bytes out.  The result
-    queue is FIFO and releases happen in arrival order, so slot ``k % R`` is
-    always free when acquire ``k`` succeeds.
+    the worker acquires before writing a batch into slot ``cursor % R``, and
+    :meth:`materialize` releases after copying the bytes out — one permit
+    per batch.  The result queue is FIFO and releases happen in arrival
+    order, so slot ``k % R`` is always free when acquire ``k`` succeeds.
     """
 
     def __init__(self, ctx: ForkContext, num_workers: int) -> None:
         self._ctx = ctx
         self._shm = False
         self._task_arena: SlotArena | None = None
-        #: (image_id, tile_id) -> the slot a staged tile holds and its descriptor.
-        self._staged: dict[tuple[int, int], tuple[shared_memory.SharedMemory, ShmRef]] = {}
+        #: image_id -> the slot holding the image's tile stack and its descriptor.
+        self._staged: dict[int, tuple[shared_memory.SharedMemory, ShmRef]] = {}
         self._rings: list[SlotArena | None] = [None] * num_workers
         self._sems: list[Semaphore | None] = [None] * num_workers
 
@@ -219,70 +229,69 @@ class CentralEndpoint:
         if not self._shm or self._task_arena is not None:
             return
         try:
-            self._task_arena = SlotArena(
-                max(2 * len(tiles), len(tiles) * window), max(t.nbytes for t in tiles)
-            )
+            self._task_arena = SlotArena(max(2, window), len(tiles) * tiles[0].nbytes)
         except Exception:
             self._shm = False  # arena creation failed: inline for good
 
     def task(
         self,
         image_id: int,
-        tile_id: int,
-        tile: np.ndarray,
+        tile_ids: Sequence[int],
+        tiles: list[np.ndarray],
         probe: bool = False,
         trace: TraceContext | None = None,
-    ) -> TileTask:
-        """Build a task message: slot descriptor when possible, else inline."""
+    ) -> BatchTask:
+        """Build one batch message: the image's slot descriptor when it has
+        (or can get) a slot, else the batch's tiles stacked inline."""
+        ids = tuple(tile_ids)
         arena = self._task_arena
         if self._shm and arena is not None:
-            staged = self._staged.get((image_id, tile_id))
-            if staged is None and tile.nbytes <= arena.slot_nbytes:
+            staged = self._staged.get(image_id)
+            if staged is None and len(tiles) * tiles[0].nbytes <= arena.slot_nbytes:
                 slot = arena.acquire()
                 if slot is not None:
-                    staged = self._staged[image_id, tile_id] = (slot, write_array(slot, tile))
+                    staged = self._staged[image_id] = (slot, write_array(slot, np.stack(tiles)))
             if staged is not None:
-                return TileTask(image_id, tile_id, probe=probe, slot=staged[1], trace=trace)
-        return TileTask(image_id, tile_id, np.ascontiguousarray(tile), probe=probe, trace=trace)
+                return BatchTask(image_id, ids, probe=probe, slot=staged[1], trace=trace)
+        block = np.concatenate([tiles[t] for t in ids])
+        return BatchTask(image_id, ids, block, probe=probe, trace=trace)
 
-    def release_task(self, image_id: int, tile_id: int) -> None:
-        """Free a tile's slot, if it holds one (its result arrived, or its
-        image is finalizing)."""
-        staged = self._staged.pop((image_id, tile_id), None)
+    def release_task(self, image_id: int) -> None:
+        """Free the image's slot, if it holds one (the image is finalizing)."""
+        staged = self._staged.pop(image_id, None)
         if staged is not None and self._task_arena is not None:
             self._task_arena.release(staged[0])
 
     # ---------------------------------------------------------------- results
-    def materialize(self, res: TileResult) -> TileResult | None:
-        """Copy a shared-memory result out of its slot and free the slot.
+    def materialize(self, res: BatchResult) -> list[PackedTensor | np.ndarray] | None:
+        """The batch's per-tile payloads, copied out of its ring slot (the
+        permit returns right after the copy) or split from the inline buffer.
 
-        Inline results pass through untouched.  Returns ``None`` when the
-        descriptor points at a ring that no longer exists (a result from a
-        replaced worker incarnation — its tile was already re-dispatched).
+        ``None`` when the descriptor points at a ring that no longer exists
+        (a result from a replaced worker incarnation — its tiles were
+        already re-dispatched).  Raises when the bytes do not parse as the
+        batch they claim to be; the permit is back by then.
         """
-        payload = res.payload
-        if not isinstance(payload, ShmRef):
-            return res
-        wid = res.worker
-        ring = self._rings[wid] if 0 <= wid < len(self._rings) else None
-        slot = ring.get(payload.name) if ring is not None else None
-        if slot is None:
-            return None  # stale incarnation: do NOT touch the current semaphore
-        obj: PackedTensor | np.ndarray | None
-        try:
-            if payload.kind == "packed":
-                buf = np.frombuffer(slot.buf, dtype=np.uint8, count=payload.nbytes).copy()
-                obj = PackedTensor(PackedStream.from_buffer(buf), raw_bits=payload.raw_bits)
-            else:
-                obj = np.ndarray(
-                    payload.shape, dtype=np.dtype(payload.dtype), buffer=slot.buf
-                ).copy()
-        except Exception:
-            obj = None
-        finally:
-            # Release only after the copy: the worker may reuse the slot
-            # the moment the permit returns.
-            sem = self._sems[wid]
-            if sem is not None:
-                sem.release()
-        return None if obj is None else replace(res, payload=obj)
+        data = res.payload
+        if isinstance(data, ShmRef):
+            wid = res.worker
+            ring = self._rings[wid] if 0 <= wid < len(self._rings) else None
+            slot = ring.get(data.name) if ring is not None else None
+            if slot is None:
+                return None  # stale incarnation: do NOT touch the current semaphore
+            try:
+                data = np.ndarray(data.shape, dtype=np.dtype(data.dtype), buffer=slot.buf).copy()
+            finally:
+                # Release only after the copy: the worker may reuse the slot
+                # the moment the permit returns.
+                sem = self._sems[wid]
+                if sem is not None:
+                    sem.release()
+        assert data is not None, "only a dropped marker has no payload"
+        if not res.extents:
+            return list(data.reshape(len(res.tile_ids), -1, *data.shape[1:]))
+        offsets = np.cumsum([0] + [nbytes for nbytes, _ in res.extents])
+        return [
+            PackedTensor(PackedStream.from_buffer(data[start : start + nbytes]), raw_bits=raw_bits)
+            for start, (nbytes, raw_bits) in zip(offsets, res.extents)
+        ]

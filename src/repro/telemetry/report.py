@@ -136,6 +136,9 @@ _COUNTERS = (
     # rather than crash on (§IV fault tolerance); nonzero means input or
     # shm corruption, not load shedding.
     "adcnn_worker_dropped_tasks_total",
+    # Result batches whose bytes did not parse at the Central node (counted
+    # per tile); their tiles stay unanswered until re-dispatch or T_L.
+    "adcnn_result_corrupt_total",
     # Multi-cluster router tier (repro.sharding, DESIGN.md §5k): dispatch
     # fan-out per shard, supervision verbs (down/restart/probe), and the
     # terminal outcomes — re-routed images vs typed failures.  A nonzero

@@ -4,8 +4,8 @@ Every image admitted to either backend is assigned a :class:`TraceContext`
 — a ``(trace_id, span_id, start)`` triple minted once at the entry point
 (:meth:`ServingFrontEnd.submit`, ``StreamEngine.dispatch``, or the DES
 dispatch/arrival path) and then *propagated*, never re-minted: it rides the
-``TileTask`` messages across the fork/IPC boundary, is echoed back on each
-``TileResult``, and tags every span the drivers record for that image.  The
+``BatchTask`` messages across the fork/IPC boundary, is echoed back on each
+``BatchResult``, and tags every span the drivers record for that image.  The
 result is one flat span tree per image: a single ``request`` root covering
 the request's whole residence in the system, with every pipeline stage
 (queue-wait → partition → transfer → conv_compute → compress →

@@ -1,5 +1,5 @@
 """Forking driver fixture: emits an event the controller never handles,
-and assigns TileTask.slot which no consumer ever reads."""
+and assigns BatchTask.slot which no consumer ever reads."""
 
 from .controller import (
     ArmDeadline,
@@ -9,21 +9,21 @@ from .controller import (
     TriggerMerge,
     WorkerDied,
 )
-from .messages import TileResult, TileTask
+from .messages import BatchResult, BatchTask
 
 
 def run(controller: CentralController) -> None:
     for cmd in controller.handle(ImageReady(0)):
         if isinstance(cmd, SendBatch):
-            emit(TileTask(0, 1, slot="s0"))
+            emit(BatchTask(0, (1,), slot="s0"))
         elif isinstance(cmd, ArmDeadline):
             note(WorkerDied(3))
         elif isinstance(cmd, TriggerMerge):
             continue
 
 
-def emit(task: TileTask) -> int:
-    result = TileResult(task.image_id, task.tile_id, b"")
+def emit(task: BatchTask) -> int:
+    result = BatchResult(task.image_id, task.tile_ids, b"")
     stamp = result.trace["t_end"]
     return len(result.payload) + stamp
 

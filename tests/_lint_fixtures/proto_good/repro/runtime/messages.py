@@ -4,14 +4,14 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
-class TileTask:
+class BatchTask:
     image_id: int
-    tile_id: int
+    tile_ids: tuple[int, ...]
     slot: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
-class TileResult:
+class BatchResult:
     image_id: int
-    tile_id: int
+    tile_ids: tuple[int, ...]
     payload: bytes

@@ -7,7 +7,7 @@ from .controller import (
     ResultReceived,
     SendBatch,
 )
-from .messages import TileResult, TileTask
+from .messages import BatchResult, BatchTask
 
 
 def run(controller: CentralController) -> None:
@@ -15,11 +15,11 @@ def run(controller: CentralController) -> None:
     while events:
         for cmd in controller.handle(events.pop()):
             if isinstance(cmd, SendBatch):
-                consume_task(TileTask(0, 1, slot="s0"))
+                consume_task(BatchTask(0, (1,), slot="s0"))
             elif isinstance(cmd, ArmDeadline):
                 events.append(ResultReceived(cmd.image_id))
 
 
-def consume_task(task: TileTask) -> tuple[int, int, bytes, str | None]:
-    result = TileResult(task.image_id, task.tile_id, b"")
-    return (result.image_id, result.tile_id, result.payload, task.slot)
+def consume_task(task: BatchTask) -> tuple[int, tuple[int, ...], bytes, str | None]:
+    result = BatchResult(task.image_id, task.tile_ids, b"")
+    return (result.image_id, result.tile_ids, result.payload, task.slot)

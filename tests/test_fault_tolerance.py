@@ -19,10 +19,10 @@ from repro.nn import Tensor
 from repro.partition import FDSPModel, TileGrid
 from repro.runtime import (
     LOCAL_WORKER,
+    BatchTask,
     ProcessCluster,
     ProcessClusterConfig,
     Shutdown,
-    TileTask,
     drain_queue,
 )
 
@@ -155,11 +155,11 @@ class TestDrainProtocol:
     def test_drain_recovers_undelivered_tasks(self):
         ctx = mp.get_context("fork")
         q = ctx.Queue()
-        for tid in range(3):
-            q.put(TileTask(0, tid, np.zeros((1, 1, 2, 2), dtype=np.float32)))
+        for tids in ((0, 1), (2,), (3, 4, 5)):
+            q.put(BatchTask(0, tids, np.zeros((len(tids), 1, 2, 2), dtype=np.float32)))
         q.put(Shutdown())
         drained = drain_queue(q)
-        assert [t.tile_id for t in drained] == [0, 1, 2]  # Shutdown discarded
+        assert [t.tile_ids for t in drained] == [(0, 1), (2,), (3, 4, 5)]  # Shutdown discarded
 
     def test_drain_empty_queue(self):
         ctx = mp.get_context("fork")

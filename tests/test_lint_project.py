@@ -126,7 +126,7 @@ def test_rl012_flags_dead_and_unset_wire_fields():
 
 
 def test_rl012_fires_on_real_tree_when_field_read_removed(tmp_path):
-    # The other acceptance drill: drop the only read of a TileResult field
+    # The other acceptance drill: drop the only read of a BatchResult field
     # and RL012 must flag the now-dead wire field at its producer site.
     runtime = REPO / "src" / "repro" / "runtime"
     shadow = tmp_path / "repro" / "runtime"

@@ -13,7 +13,7 @@ from repro.compression import CompressionPipeline
 from repro.models import vgg_mini
 from repro.nn import Tensor
 from repro.partition import FDSPModel, TileGrid
-from repro.runtime import ProcessCluster, ProcessClusterConfig, TileTask
+from repro.runtime import BatchTask, ProcessCluster, ProcessClusterConfig
 
 RNG = np.random.default_rng(31)
 
@@ -161,8 +161,13 @@ class TestLifecycleAndValidation:
             ProcessClusterConfig(num_workers=2, delay_per_tile=(0.1,))
 
     def test_tile_task_validation(self):
+        block = np.zeros((1, 1, 2, 2))
         with pytest.raises(ValueError):
-            TileTask(-1, 0, np.zeros((1, 1, 2, 2)))
+            BatchTask(-1, (0,), block)
+        with pytest.raises(ValueError):
+            BatchTask(0, (), block)  # an empty batch is not a message
+        with pytest.raises(ValueError):
+            BatchTask(0, (0,))  # neither an inline block nor a slot
 
     def test_unbatched_input_accepted(self):
         model = small_model()
@@ -172,7 +177,7 @@ class TestLifecycleAndValidation:
 
 
 class TestWorkerCoalescing:
-    """The worker's same-image batching, driven directly in a thread.
+    """The worker's one-forward-per-batch loop, driven directly in a thread.
 
     ``_worker_loop`` only needs the queue get/put API, so a ``queue.Queue``
     stands in for the mp queues and the whole protocol runs in-process.
@@ -207,107 +212,128 @@ class TestWorkerCoalescing:
                 break
         return results
 
-    def test_coalesced_batch_matches_per_tile_reference(self):
-        """One stacked forward over the drained batch == per-tile forwards."""
+    @staticmethod
+    def _tiles():
         from repro.partition.geometry import split_array
 
+        return split_array(RNG.normal(size=(1, 3, 24, 24)).astype(np.float32), TileGrid(2, 2))
+
+    @staticmethod
+    def _batch(image_id, tile_ids, tiles):
+        return BatchTask(image_id, tuple(tile_ids), np.concatenate([tiles[t] for t in tile_ids]))
+
+    @staticmethod
+    def _payloads(res):
+        """Split one inline batch result the way the Central node does."""
+        from repro.runtime.transport import CentralEndpoint
+
+        return CentralEndpoint(None, 1).materialize(res)
+
+    def test_coalesced_batch_matches_per_tile_reference(self):
+        """One stacked forward over the batch == per-tile forwards, and the
+        batch is answered by exactly one result message."""
         model = small_model()
-        grid = TileGrid(2, 2)
-        x = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
-        tiles = split_array(x, grid)
-        tasks = [TileTask(image_id=0, tile_id=i, tile=t) for i, t in enumerate(tiles)]
-        results = self._run_worker(model, tasks)
-        assert [r.tile_id for r in results] == [0, 1, 2, 3]
+        tiles = self._tiles()
+        (res,) = self._run_worker(model, [self._batch(0, range(4), tiles)])
+        assert res.tile_ids == (0, 1, 2, 3)
         sep = model.separable_part()
         sep.eval()
         with nn.no_grad():
-            for res, tile in zip(results, tiles):
-                np.testing.assert_array_equal(res.payload, sep(Tensor(tile)).data)
+            for out, tile in zip(self._payloads(res), tiles):
+                np.testing.assert_array_equal(out, sep(Tensor(tile)).data)
 
     def test_coalesced_spans_tile_the_batch_envelope(self):
         """Telescoped per-tile spans are contiguous, sum to the measured
         wall envelope, and the emulated delay scales with the batch size."""
-        from repro.partition.geometry import split_array
-
         model = small_model()
-        grid = TileGrid(2, 2)
-        x = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
-        tiles = split_array(x, grid)
-        tasks = [TileTask(image_id=0, tile_id=i, tile=t) for i, t in enumerate(tiles)]
         delay = 0.01
-        results = self._run_worker(model, tasks, delay=delay)
-        assert len(results) == 4
-        for res in results:
-            assert res.compute_seconds == pytest.approx(res.t_end - res.t_start)
-            assert res.compute_seconds > 0
-        for prev, nxt in zip(results, results[1:]):
-            assert nxt.t_start == prev.t_end  # exact: span_start carries over
-        envelope = results[-1].t_end - results[0].t_start
-        assert sum(r.compute_seconds for r in results) == pytest.approx(envelope, abs=1e-9)
+        (res,) = self._run_worker(model, [self._batch(0, range(4), self._tiles())], delay=delay)
+        spans = list(res.tile_spans())
+        assert len(spans) == 4
+        for (t_start, busy, compress) in spans:
+            assert busy > compress >= 0
+        for (t0, busy, _), (t1, _, _) in zip(spans, spans[1:]):
+            assert t1 == t0 + busy  # exact: each span starts where the last ended
+        envelope = res.forward_seconds + sum(res.compress_seconds)
+        assert spans[0][0] == res.t_start
+        assert sum(busy for _, busy, _ in spans) == pytest.approx(envelope, abs=1e-9)
         assert envelope >= 4 * delay  # one sleep covering the whole batch
 
     def test_mixed_image_queue_order_preserved(self):
-        """A different-image task breaks the batch; nothing is reordered."""
-        from repro.partition.geometry import split_array
-
+        """Batches are answered one for one in queue order, across images,
+        and a batch never absorbs its neighbour's tiles."""
         model = small_model()
-        grid = TileGrid(2, 2)
-        tiles = split_array(RNG.normal(size=(1, 3, 24, 24)).astype(np.float32), grid)
+        tiles = self._tiles()
         tasks = [
-            TileTask(image_id=0, tile_id=0, tile=tiles[0]),
-            TileTask(image_id=0, tile_id=1, tile=tiles[1]),
-            TileTask(image_id=1, tile_id=2, tile=tiles[2]),
-            TileTask(image_id=1, tile_id=3, tile=tiles[3]),
+            self._batch(0, (0, 1), tiles),
+            self._batch(1, (2,), tiles),
+            self._batch(1, (3,), tiles),
+            self._batch(0, (2, 3), tiles),
         ]
         results = self._run_worker(model, tasks)
-        assert [(r.image_id, r.tile_id) for r in results] == [(0, 0), (0, 1), (1, 2), (1, 3)]
+        assert [(r.image_id, r.tile_ids) for r in results] == [
+            (0, (0, 1)), (1, (2,)), (1, (3,)), (0, (2, 3))
+        ]
         sep = model.separable_part()
         sep.eval()
         with nn.no_grad():
-            for res, tile in zip(results, tiles):
-                np.testing.assert_array_equal(res.payload, sep(Tensor(tile)).data)
+            for res in results:
+                for tile_id, out in zip(res.tile_ids, self._payloads(res)):
+                    np.testing.assert_array_equal(out, sep(Tensor(tiles[tile_id])).data)
 
     def test_unattachable_slot_yields_dropped_marker(self):
         """A slot unlinked under the worker produces a counted marker, not
-        a silent skip, and does not poison the rest of the batch."""
-        from repro.partition.geometry import split_array
+        a silent skip, and does not poison the next batch."""
         from repro.runtime.shm_arena import ShmRef
 
         model = small_model()
-        grid = TileGrid(2, 2)
-        tiles = split_array(RNG.normal(size=(1, 3, 24, 24)).astype(np.float32), grid)
+        tiles = self._tiles()
         bogus = ShmRef(
             name="adcnn_test_unlinked_slot",
-            nbytes=tiles[1].nbytes,
-            kind="raw",
-            shape=tiles[1].shape,
+            nbytes=4 * tiles[0].nbytes,
+            shape=(4, *tiles[0].shape),
             dtype="float32",
         )
-        tasks = [
-            TileTask(image_id=0, tile_id=0, tile=tiles[0]),
-            TileTask(image_id=0, tile_id=1, slot=bogus),
-        ]
-        results = self._run_worker(model, tasks)
-        by_id = {r.tile_id: r for r in results}
-        assert by_id[1].dropped and by_id[1].payload is None
-        assert not by_id[0].dropped
+        tasks = [BatchTask(0, (1, 2), slot=bogus), self._batch(0, (0,), tiles)]
+        dropped, good = self._run_worker(model, tasks)
+        assert dropped.dropped and dropped.payload is None and dropped.tile_ids == (1, 2)
+        assert not good.dropped
         sep = model.separable_part()
         sep.eval()
         with nn.no_grad():
-            np.testing.assert_array_equal(by_id[0].payload, sep(Tensor(tiles[0])).data)
+            (out,) = self._payloads(good)
+            np.testing.assert_array_equal(out, sep(Tensor(tiles[0])).data)
 
     def test_sweep_counts_dropped_results(self):
-        """The collect loop counts dropped markers and leaves the tile
-        unanswered (no entry lands in any image's results)."""
+        """The collect loop counts a dropped marker once per tile and leaves
+        the tiles unanswered (no entry lands in any image's results)."""
         import queue
 
-        from repro.runtime.messages import TileResult
+        from repro.runtime.messages import BatchResult
         from repro.telemetry import TelemetryRecorder
 
         tel = TelemetryRecorder()
         cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
         rq = queue.Queue()
-        rq.put(TileResult(image_id=0, tile_id=0, payload=None, worker=0, dropped=True))
+        rq.put(BatchResult(image_id=0, tile_ids=(0, 1, 2), payload=None, worker=0, dropped=True))
         cluster._result_queues.append(rq)
         assert cluster._sweep_results({}) is True
-        assert tel.metrics.counter_total("adcnn_worker_dropped_tasks_total") == 1.0
+        assert tel.metrics.counter_total("adcnn_worker_dropped_tasks_total") == 3.0
+
+    def test_sweep_counts_corrupt_results(self):
+        """Result bytes that do not parse are counted per tile under their
+        own metric, not silently left for T_L to explain."""
+        import queue
+
+        from repro.runtime.messages import BatchResult
+        from repro.telemetry import TelemetryRecorder
+
+        tel = TelemetryRecorder()
+        cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
+        rq = queue.Queue()
+        garbage = np.zeros(64, dtype=np.uint8)
+        rq.put(BatchResult(0, (0, 1), garbage, worker=0, extents=((32, 0), (32, 0))))
+        cluster._result_queues.append(rq)
+        assert cluster._sweep_results({}) is True
+        assert tel.metrics.counter_total("adcnn_result_corrupt_total") == 2.0
+

@@ -23,9 +23,9 @@ from repro.models import vgg_mini
 from repro.nn import Tensor, no_grad
 from repro.partition import TileGrid
 from repro.partition.geometry import split_array
-from repro.runtime import ArenaGrant, ProcessCluster, ProcessClusterConfig, ShmRef, SlotArena, TileResult
+from repro.runtime import ArenaGrant, BatchResult, ProcessCluster, ProcessClusterConfig, ShmRef, SlotArena
 from repro.runtime.shm_arena import shm_available
-from repro.runtime.shm_arena import attach_array, close_attachments, write_array, write_bytes
+from repro.runtime.shm_arena import attach_array, close_attachments, write_array
 from repro.runtime.transport import RESULT_RING_SLOTS, CentralEndpoint
 from repro.telemetry import TelemetryRecorder
 
@@ -84,12 +84,12 @@ class TestSlotArena:
             assert arena.get(slot.name) is slot
             arr = RNG.standard_normal((4, 4, 4)).astype(np.float32)
             ref = write_array(slot, arr)
-            assert isinstance(ref, ShmRef) and ref.kind == "raw"
+            assert isinstance(ref, ShmRef) and ref.shape == arr.shape
             view = attach_array(cache, ref)
             np.testing.assert_array_equal(view, arr)
             buf = RNG.integers(0, 256, size=100).astype(np.uint8)
-            ref2 = write_bytes(slot, buf, raw_bits=12345)
-            assert ref2.kind == "packed" and ref2.raw_bits == 12345
+            ref2 = write_array(slot, buf)
+            assert ref2.nbytes == 100 and ref2.dtype == "uint8"
             np.testing.assert_array_equal(attach_array(cache, ref2), buf)
         finally:
             close_attachments(cache)
@@ -124,69 +124,122 @@ def central_endpoint(num_workers=2):
         endpoint.close()
 
 
+def granted_worker(central, worker_id, slot_nbytes):
+    """A worker endpoint holding a freshly granted result ring."""
+    tq = mp.get_context("fork").Queue()
+    worker = central.worker_endpoint(worker_id)
+    central.grant_ring(worker_id, slot_nbytes, tq)
+    grant = tq.get(timeout=5.0)
+    worker.accept(grant)
+    return worker, grant
+
+
 @needs_shm
 class TestEndpoints:
     """The transport module's two endpoints, driven without a cluster."""
 
     def test_task_slot_kept_across_redispatch_and_released_by_key(self):
         with central_endpoint() as central:
-            tiles = [RNG.standard_normal((1, 3, 4, 4)).astype(np.float32) for _ in range(2)]
+            tiles = [RNG.standard_normal((1, 3, 4, 4)).astype(np.float32) for _ in range(4)]
             central.size_task_arena(tiles, window=2)
-            assert central.task_slots_free == (4, 4)  # max(2 * tiles, tiles * window)
-            first = central.task(7, 0, tiles[0])
-            again = central.task(7, 0, tiles[0], probe=True)  # re-dispatch: same slot
-            other = central.task(7, 1, tiles[1])
-            assert first.tile is None and first.slot == again.slot and again.probe
+            assert central.task_slots_free == (2, 2)  # max(2, window) image-sized slots
+            first = central.task(7, (0, 1), tiles)
+            again = central.task(7, (1, 3), tiles, probe=True)  # re-dispatch: same slot
+            other = central.task(8, (0, 1, 2, 3), tiles)
+            assert first.block is None and first.slot == again.slot and again.probe
             assert other.slot.name != first.slot.name
-            assert central.task_slots_free == (2, 4)
+            assert central.task_slots_free == (0, 2)
             worker = central.worker_endpoint(0)
             try:
-                np.testing.assert_array_equal(worker.read(first), tiles[0])
+                block = worker.read(first)
+                np.testing.assert_array_equal(block, np.concatenate(tiles[:2]))
+                assert block.base is not None  # contiguous rows: a view of the slot
+                np.testing.assert_array_equal(  # gathered rows of a re-dispatched subset
+                    worker.read(again), np.concatenate([tiles[1], tiles[3]])
+                )
             finally:
                 worker.close()
-            central.release_task(7, 0)  # result arrived
-            assert central.task_slots_free == (3, 4)
-            for tile_id in (0, 1):  # finalize reclaims the rest; already-freed is a no-op
-                central.release_task(7, tile_id)
-            assert central.task_slots_free == (4, 4)
+            central.release_task(7)  # image 7 finalized
+            assert central.task_slots_free == (1, 2)
+            central.release_task(7)  # already freed: a no-op
+            central.release_task(8)
+            assert central.task_slots_free == (2, 2)
 
     def test_task_goes_inline_when_arena_is_full_or_tile_too_big(self):
         with central_endpoint() as central:
-            tile = np.ones((1, 1, 2, 2), dtype=np.float32)
-            central.size_task_arena([tile], window=1)  # two slots
-            assert all(central.task(0, tid, tile).slot is not None for tid in (0, 1))
-            overflow = central.task(0, 2, tile)
+            tiles = [np.full((1, 1, 2, 2), t, dtype=np.float32) for t in range(2)]
+            central.size_task_arena(tiles, window=1)  # two slots
+            assert all(central.task(image, (0, 1), tiles).slot is not None for image in (0, 1))
+            overflow = central.task(2, (1,), tiles)
             assert overflow.slot is None
-            np.testing.assert_array_equal(overflow.tile, tile)
-            big = central.task(1, 0, np.ones((1, 1, 8, 8), dtype=np.float32))
-            assert big.slot is None and big.tile is not None
+            np.testing.assert_array_equal(overflow.block, tiles[1])
+            big = central.task(3, (0,), [np.ones((1, 1, 8, 8), dtype=np.float32)])
+            assert big.slot is None and big.block is not None
+            assert central.task_slots_free == (0, 2)
 
     def test_result_ring_roundtrip_returns_the_permit(self):
         with central_endpoint() as central:
-            tq = mp.get_context("fork").Queue()
-            worker = central.worker_endpoint(1)
-            assert central.needs_ring(1)
-            central.grant_ring(1, 4096, tq)
+            worker, grant = granted_worker(central, 1, 4096)
             assert not central.needs_ring(1)
-            grant = tq.get(timeout=5.0)
             assert isinstance(grant, ArenaGrant) and set(grant.slot_names) <= shm_segments()
-            worker.accept(grant)
             pipe = CompressionPipeline(bits=4)
+            outs = [RNG.standard_normal((1, 4, 6, 6)).astype(np.float32) for _ in range(3)]
             try:
-                for payload in (
-                    pipe.compress_packed(RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)),
-                    RNG.standard_normal((1, 4, 6, 6)).astype(np.float32),
-                ):
+                for results in ([pipe.compress_packed(o) for o in outs], np.concatenate(outs)):
                     # More rounds than slots: every materialize hands the permit back.
                     for _ in range(RESULT_RING_SLOTS + 2):
-                        ref, ring_fallback = worker.stage_result(payload)
+                        ref, extents, ring_fallback = worker.stage_result(results)
                         assert isinstance(ref, ShmRef) and not ring_fallback
-                        got = central.materialize(TileResult(0, 0, ref, worker=1)).payload
-                        if isinstance(payload, np.ndarray):
-                            np.testing.assert_array_equal(got, payload)
-                        else:
-                            assert got.raw_bits == payload.raw_bits
-                            np.testing.assert_array_equal(got.packed.buffer, payload.packed.buffer)
+                        got = central.materialize(
+                            BatchResult(0, (0, 1, 2), ref, worker=1, extents=extents)
+                        )
+                        assert len(got) == 3
+                        for tile, want, out in zip(got, results, outs):
+                            if isinstance(results, np.ndarray):
+                                np.testing.assert_array_equal(tile, out)
+                            else:
+                                assert tile.raw_bits == want.raw_bits
+                                np.testing.assert_array_equal(tile.packed.buffer, want.packed.buffer)
+            finally:
+                worker.close()
+
+    def test_batch_slot_holds_each_tiles_packed_bytes_verbatim(self):
+        """Inside a batch slot every tile's bytes are exactly what
+        ``compress_packed`` produces for that tile alone (wire format v1)."""
+        with central_endpoint() as central:
+            worker, _ = granted_worker(central, 0, 4096)
+            pipe = CompressionPipeline(bits=4)
+            packed = [
+                pipe.compress_packed(RNG.standard_normal((1, 4, 6, 6)).astype(np.float32))
+                for _ in range(3)
+            ]
+            cache = {}
+            try:
+                ref, extents, _ = worker.stage_result(packed)
+                slot_bytes = attach_array(cache, ref)
+                assert extents == tuple((p.packed.buffer.nbytes, p.raw_bits) for p in packed)
+                assert slot_bytes.nbytes == sum(n for n, _ in extents)
+                offset = 0
+                for p, (nbytes, _) in zip(packed, extents):
+                    np.testing.assert_array_equal(
+                        slot_bytes[offset : offset + nbytes], p.packed.buffer
+                    )
+                    offset += nbytes
+            finally:
+                close_attachments(cache)
+                worker.close()
+
+    def test_corrupt_result_bytes_raise_after_returning_the_permit(self):
+        with central_endpoint() as central:
+            worker, _ = granted_worker(central, 0, 4096)
+            packed = [CompressionPipeline(bits=4).compress_packed(np.ones((1, 2, 3, 3), np.float32))]
+            try:
+                for _ in range(RESULT_RING_SLOTS + 1):  # a leaked permit would exhaust the ring
+                    ref, extents, ring_fallback = worker.stage_result(packed)
+                    assert isinstance(ref, ShmRef) and not ring_fallback
+                    bad = ((extents[0][0] - 1, extents[0][1]),)
+                    with pytest.raises(ValueError):
+                        central.materialize(BatchResult(0, (0,), ref, worker=0, extents=bad))
             finally:
                 worker.close()
 
@@ -194,30 +247,28 @@ class TestEndpoints:
         """A descriptor from a replaced worker's ring materializes to None
         and must not release a permit on the successor's semaphore."""
         with central_endpoint() as central:
-            ctx = mp.get_context("fork")
-            old = central.worker_endpoint(0)
-            central.grant_ring(0, 1024, tq := ctx.Queue())
-            old.accept(tq.get(timeout=5.0))
-            stale, _ = old.stage_result(np.ones(8, dtype=np.float32))
+            block = np.ones(8, dtype=np.float32)
+            old, _ = granted_worker(central, 0, 1024)
+            stale = BatchResult(0, (0,), old.stage_result(block)[0], worker=0)
             old.close()
             new = central.worker_endpoint(0)  # respawn: fresh semaphore, no ring yet
-            assert central.needs_ring(0) and stale.name not in shm_segments()
-            assert central.materialize(TileResult(0, 0, stale, worker=0)) is None
-            central.grant_ring(0, 1024, tq)
+            assert central.needs_ring(0) and stale.payload.name not in shm_segments()
+            assert central.materialize(stale) is None
+            central.grant_ring(0, 1024, tq := mp.get_context("fork").Queue())
             new.accept(tq.get(timeout=5.0))
-            assert central.materialize(TileResult(0, 0, stale, worker=0)) is None
+            assert central.materialize(stale) is None
             try:
-                staged = [new.stage_result(np.ones(8, dtype=np.float32)) for _ in range(RESULT_RING_SLOTS + 1)]
+                staged = [new.stage_result(block) for _ in range(RESULT_RING_SLOTS + 1)]
             finally:
                 new.close()
             # Exactly RESULT_RING_SLOTS permits: the stale results added none.
-            assert [fallback for _, fallback in staged] == [False] * RESULT_RING_SLOTS + [True]
+            assert [fallback for *_, fallback in staged] == [False] * RESULT_RING_SLOTS + [True]
 
     def test_unlinked_task_slot_reads_as_none(self):
         with central_endpoint() as central:
             tile = np.ones((1, 1, 2, 2), dtype=np.float32)
             central.size_task_arena([tile], window=1)
-            task = central.task(0, 0, tile)
+            task = central.task(0, (0,), [tile])
             worker = central.worker_endpoint(0)
             central.close()  # shutdown race: segments unlinked before the read
             assert worker.read(task) is None
@@ -229,11 +280,11 @@ class TestEndpoints:
         before = shm_segments()
         tile = np.ones((1, 1, 2, 2), dtype=np.float32)
         central.size_task_arena([tile], window=2)
-        task = central.task(0, 0, tile)
+        task = central.task(0, (0,), [tile])
         worker = central.worker_endpoint(0)
-        payload, ring_fallback = worker.stage_result(tile)
+        payload, extents, ring_fallback = worker.stage_result(tile)
         assert central.label == "pickle" and not central.needs_ring(0)
-        assert task.slot is None and payload is tile and not ring_fallback
+        assert task.slot is None and payload is tile and extents == () and not ring_fallback
         assert central.task_slots_free == (0, 0) and shm_segments() == before
         central.close()
 
@@ -273,6 +324,74 @@ class TestTransportEquivalence:
             free, total = cluster._endpoint.task_slots_free
             assert free == total > 0
 
+    def test_one_task_and_one_result_message_per_batch(self, monkeypatch):
+        """The controller's batch is the wire unit: every SendBatch to a worker
+        puts exactly one task message, answered by exactly one result message
+        — counted on the queues, whatever the feeder threads' timing."""
+        from repro.runtime.controller import SendBatch
+
+        class CountingQueue:
+            def __init__(self, q):
+                self._q, self.put_msgs, self.got_msgs = q, [], []
+
+            def put(self, msg):
+                self.put_msgs.append(msg)
+                self._q.put(msg)
+
+            def get_nowait(self):
+                msg = self._q.get_nowait()
+                self.got_msgs.append(msg)
+                return msg
+
+            def __getattr__(self, name):
+                return getattr(self._q, name)
+
+        cfg = ProcessClusterConfig(num_workers=2)
+        with ProcessCluster(small_model(), TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
+            cluster.infer(images(1)[0])  # the ring grants ride the first image's batches
+            tasks = [CountingQueue(q) for q in cluster._task_queues]
+            results = [CountingQueue(q) for q in cluster._result_queues]
+            cluster._task_queues[:], cluster._result_queues[:] = tasks, results
+            batches = []
+            handle = cluster._controller.handle
+
+            def spy(event):
+                cmds = handle(event)
+                batches.extend(c for c in cmds if isinstance(c, SendBatch))
+                return cmds
+
+            monkeypatch.setattr(cluster._controller, "handle", spy)
+            outcomes = cluster.infer_stream(images(5), pipeline_depth=2)
+            assert all(o.zero_filled_tiles == [] for o in outcomes)
+            assert sum(b.count for b in batches) == 5 * 4
+            for wid in range(2):
+                mine = [(b.image_id, b.count) for b in batches if b.node == wid]
+                assert [(m.image_id, len(m.tile_ids)) for m in tasks[wid].put_msgs] == mine
+                assert [(m.image_id, len(m.tile_ids)) for m in results[wid].got_msgs] == mine
+
+    def test_no_ring_fallback_on_the_steady_compute_shape(self):
+        """96x96 / 4x4 / 2 workers / window 2 (the ledger's steady_compute):
+        at most ``window`` batches per worker are outstanding, so the
+        4-slot ring never overflows and no batch ships inline."""
+        model = vgg_mini(num_classes=3, input_size=96, base_width=12, separable_prefix=4).eval()
+        imgs = [RNG.normal(size=(1, 3, 96, 96)).astype(np.float32) for _ in range(12)]
+        tel = TelemetryRecorder()
+        cfg = ProcessClusterConfig(num_workers=2)
+        with ProcessCluster(
+            model, TileGrid(4, 4), CompressionPipeline(bits=4), cfg, telemetry=tel
+        ) as cluster:
+            outcomes = cluster.infer_stream(imgs, pipeline_depth=2)
+            assert cluster._endpoint.task_slots_free == (2, 2)
+        assert all(o.zero_filled_tiles == [] for o in outcomes)
+        assert tel.metrics.counter_total("adcnn_result_ring_fallback_total") == 0
+        # conv_compute spans carry the exact batch size: one batch per
+        # (image, worker) here, so it equals that pair's span count.
+        per_batch = {}
+        for sp in tel.spans("conv_compute"):
+            per_batch.setdefault((sp["image_id"], sp["node"]), []).append(sp["batch"])
+        assert sum(len(v) for v in per_batch.values()) == 12 * 16
+        assert all(set(v) == {len(v)} for v in per_batch.values())
+
     def test_telemetry_wire_bits_measured(self):
         """Down-direction wire bits equal the sum of actual packed buffer
         lengths (8 * nbytes), not the token-stream accounting."""
@@ -311,8 +430,7 @@ class TestFaultIntegration:
                 outcomes = cluster.infer_stream(imgs, pipeline_depth=2)
             finally:
                 killer.cancel()
-            free, total = cluster._endpoint.task_slots_free
-            assert free == total > 0
+            assert cluster._endpoint.task_slots_free == (2, 2)  # capacity, after re-dispatch
         for h, o in zip(healthy, outcomes):
             assert o.zero_filled_tiles == []
             np.testing.assert_array_equal(o.output, h.output)

@@ -55,7 +55,7 @@ class TestTraceContext:
             ctx.trace_id = 8  # type: ignore[misc]
 
     def test_picklable(self):
-        # The context crosses the fork/IPC boundary on every TileTask.
+        # The context crosses the fork/IPC boundary on every BatchTask.
         ctx = TraceContext(trace_id=3, span_id=0, start=2.25)
         assert pickle.loads(pickle.dumps(ctx)) == ctx
 
@@ -187,7 +187,7 @@ class TestProcessBackendTracePropagation:
         assert len(outcomes) == 3
         trees, done = _assert_traces_complete(tel, expected_images=3)
         # Worker spans prove propagation: their trace fields come from the
-        # context echoed back on TileResult, not from central state.
+        # context echoed back on BatchResult, not from central state.
         for tree in trees.values():
             kinds = {s.kind for s in tree.stages()}
             assert {"partition", "transfer", STAGE_CONV_COMPUTE, STAGE_MERGE} <= kinds
