@@ -2,9 +2,16 @@
 
 These use pytest-benchmark's statistical timing (multiple rounds) — the
 numbers to watch when optimizing the NumPy engine.
+
+BLAS is pinned to one thread at import, as ``ProcessCluster.start()`` does
+for every node process (DESIGN.md §5l): with the default pool, an idle
+OpenBLAS thread busy-waits after each GEMM and a sub-millisecond kernel
+reads as ~100 ms, so the rows below would not measure what production runs.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -12,11 +19,17 @@ import repro.nn as nn
 import repro.nn.functional as F
 from repro.compression import CompressionPipeline, pack_levels, unpack
 from repro.models import vgg_mini
-from repro.nn import Tensor
+from repro.nn import Tensor, blas
+from repro.nn.functional import _conv2d_raw, _max_pool2d_raw
 from repro.nn.fused import fused_clip_quantize, try_compile
 from repro.partition import TileGrid, fdsp_forward
 from repro.partition.geometry import split_array
 from repro.runtime import allocate_tiles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conv_oracle import conv2d_window_gather, max_pool2d_reshape  # noqa: E402
+
+blas.pin_single_thread()
 
 RNG = np.random.default_rng(0)
 
@@ -98,6 +111,59 @@ def test_fdsp_tile_forward(benchmark):
     stack = model.separable_part()
     x = RNG.normal(size=(1, 3, 48, 48)).astype(np.float32)
     benchmark(lambda: fdsp_forward(stack, x, TileGrid(4, 4)))
+
+
+# --------------------------------------------- layout gates (DESIGN.md §5i)
+#: The four conv layers one ``steady_compute`` worker runs per image
+#: (8 stacked 24x24 tiles of a 96x96 vgg_mini, base width 12): input shape
+#: and output channels, all 3x3 pad 1.
+WORKER_LAYERS = (((8, 3, 24, 24), 12), ((8, 12, 24, 24), 12), ((8, 12, 12, 12), 24), ((8, 24, 12, 12), 24))
+
+
+def test_kmajor_conv_speedup(benchmark):
+    """CI gate: the K-major im2col + transposed-view GEMM must be >= 1.8x
+    the window-gather formulation it replaced (``tests/conv_oracle.py``),
+    summed over the worker's four layer shapes."""
+    cases = [
+        (RNG.normal(size=shape).astype(np.float32), RNG.normal(size=(o, shape[1], 3, 3)).astype(np.float32))
+        for shape, o in WORKER_LAYERS
+    ]
+    for x, w in cases:
+        np.testing.assert_allclose(
+            _conv2d_raw(x, w, (1, 1), (1, 1)), conv2d_window_gather(x, w, (1, 1), (1, 1)), rtol=1e-6, atol=1e-5
+        )
+
+    def shipped():
+        return [_conv2d_raw(x, w, (1, 1), (1, 1)) for x, w in cases]
+
+    def oracle():
+        return [conv2d_window_gather(x, w, (1, 1), (1, 1)) for x, w in cases]
+
+    t_oracle = _timed(oracle)
+    t_shipped = _timed(shipped)
+    speedup = t_oracle / t_shipped
+    assert speedup >= 1.8, (
+        f"K-major conv only {speedup:.2f}x the window gather "
+        f"(oracle {t_oracle * 1e3:.3f} ms, shipped {t_shipped * 1e3:.3f} ms over {len(cases)} layers)"
+    )
+    benchmark.extra_info["speedup_vs_window_gather"] = speedup
+    benchmark(shipped)
+
+
+def test_strided_max_pool_speedup(benchmark):
+    """CI gate: folding the k*k strided views must be >= 5x the
+    transpose-reshape copy + reduce on the worker's pool shape."""
+    x = RNG.normal(size=(8, 12, 24, 24)).astype(np.float32)
+    np.testing.assert_array_equal(_max_pool2d_raw(x, 2), max_pool2d_reshape(x, 2))
+    t_oracle = _timed(lambda: max_pool2d_reshape(x, 2), repeats=200)
+    t_shipped = _timed(lambda: _max_pool2d_raw(x, 2), repeats=200)
+    speedup = t_oracle / t_shipped
+    assert speedup >= 5.0, (
+        f"strided max-pool only {speedup:.2f}x the reshape-max "
+        f"(oracle {t_oracle * 1e6:.0f} us, shipped {t_shipped * 1e6:.0f} us)"
+    )
+    benchmark.extra_info["speedup_vs_reshape_max"] = speedup
+    benchmark(lambda: _max_pool2d_raw(x, 2))
 
 
 # ------------------------------------------------- batched/fused hot path

@@ -1,34 +1,40 @@
-"""Telemetry overhead: enabled vs no-op recorder on a fig11-style stream.
+"""Telemetry overhead: what recording one image costs, in microseconds.
 
-The claim under test is that instrumentation is cheap enough to leave on:
-mean image latency with a full :class:`TelemetryRecorder` must stay within
-3% of the :class:`NullRecorder` default.
+The claim under test is that instrumentation is cheap enough to leave on.
+It is stated as an **absolute budget on a fixed workload** — at most
+``MAX_EVENTS_PER_IMAGE`` events and ``MAX_COST_US_PER_IMAGE`` microseconds
+of recording per image of a 24x24 ``vgg_mini`` on a 2x2 grid with two
+workers and the §4 pipeline — so the gate measures the recorder and
+nothing else.  A ratio against mean image latency would gate the wrong
+module: its denominator is what every perf PR shrinks, so it goes red when
+the *image* gets faster while the recorder costs the same ~23 events.  The
+ratio is still printed and stored in ``extra_info``.
 
-Measuring that directly as an A/B latency diff is hopeless on shared
-1-core CI hardware — run-to-run noise (CPU steal, scheduler churn between
-the central and worker processes) is ±10%, an order of magnitude above the
-effect.  So the bench decomposes the claim into two stable measurements:
+Measuring the cost directly as an A/B latency diff is hopeless on shared
+CI hardware — run-to-run noise (CPU steal, scheduler churn between the
+central and worker processes) is ±10%, an order of magnitude above the
+effect.  So the bench decomposes it into two stable measurements:
 
 1. an instrumented fig11-style stream (2 workers, §4 compression) gives
-   the real mean image latency AND the exact event stream telemetry
-   recorded for it;
+   the exact event stream telemetry recorded for it (and the real mean
+   image latency, for the printed ratio);
 2. replaying that exact event stream into a fresh recorder in a tight
    single-threaded loop prices what recording cost — min-of-N of a pure
    CPU loop is robust to steal (interference stretches a run, never
    shrinks it).
 
 Everything telemetry adds to the latency path is recording calls plus a
-few clock reads, so ``replay_cost / (images * mean_latency)`` bounds the
-overhead; a 1.5x safety factor covers the handful of clock reads the
-replay does not reproduce (the replay already prices one counter update
-per event, more than the real instrumentation performs).  The raw A/B diff is still printed and
-stored in ``extra_info`` for the curious — just not asserted on.
+few clock reads, so the replay cost bounds it; a 1.5x safety factor covers
+the handful of clock reads the replay does not reproduce (the replay
+already prices one counter update per event, more than the real
+instrumentation performs).  The raw A/B diff is still printed and stored
+in ``extra_info`` for the curious — just not asserted on.
 
 The instrumented arm records with §5h *tracing on* (every enabled run
-mints TraceContexts and tags spans with the trace triple), so the <3%
-budget covers tracing-enabled instrumentation, not a stripped-down
-recorder — the replay re-records the trace fields verbatim because they
-arrive as ordinary span kwargs.
+mints TraceContexts and tags spans with the trace triple), so the budget
+covers tracing-enabled instrumentation, not a stripped-down recorder — the
+replay re-records the trace fields verbatim because they arrive as
+ordinary span kwargs.
 """
 
 import time
@@ -43,7 +49,12 @@ from repro.telemetry import TelemetryRecorder
 NUM_IMAGES = 24
 REPLAY_ROUNDS = 15
 SAFETY_FACTOR = 1.5
-MAX_OVERHEAD = 0.03
+#: Budgets per image of the fixed workload above.  Measured on the 2-vCPU
+#: box at PR 14, 15 and 16 alike: 23.0 events and 158-162 us per image
+#: (~7 us per event, safety factor included); the time budget leaves 2x for
+#: a slower CI runner, the event budget two events.
+MAX_EVENTS_PER_IMAGE = 25
+MAX_COST_US_PER_IMAGE = 320.0
 
 
 def _stream(cluster, images) -> float:
@@ -72,7 +83,7 @@ def _replay_seconds(events) -> float:
     return best
 
 
-def test_telemetry_overhead_under_three_percent(benchmark):
+def test_telemetry_recording_cost_within_budget(benchmark):
     model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
     rng = np.random.default_rng(11)
     images = rng.normal(size=(NUM_IMAGES, 1, 3, 24, 24)).astype(np.float32)
@@ -98,19 +109,26 @@ def test_telemetry_overhead_under_three_percent(benchmark):
     roots = [ev for ev in events if ev["kind"] == "request"]
     assert len(roots) == NUM_IMAGES, "expected one request root span per image"
     recording_s = _replay_seconds(events)
-    per_image_cost = recording_s * SAFETY_FACTOR / (NUM_IMAGES - 1)
-    overhead = per_image_cost / tel_latency
+    # The first image of the stream is dropped from the latency mean, so it is
+    # dropped from the divisor too: the cost is charged to one image fewer.
+    events_per_image = len(events) / (NUM_IMAGES - 1)
+    cost_s = recording_s * SAFETY_FACTOR / (NUM_IMAGES - 1)
+    cost_us = cost_s * 1e6
+    overhead = cost_s / tel_latency
     ab_diff = tel_latency / null_latency - 1.0
 
     benchmark.extra_info["mean_latency_s"] = tel_latency
-    benchmark.extra_info["events_per_image"] = len(events) / (NUM_IMAGES - 1)
-    benchmark.extra_info["recording_cost_per_image_s"] = per_image_cost
+    benchmark.extra_info["events_per_image"] = events_per_image
+    benchmark.extra_info["recording_cost_per_image_us"] = cost_us
     benchmark.extra_info["overhead_fraction"] = overhead
     benchmark.extra_info["ab_diff_fraction_noisy"] = ab_diff
-    print(f"\nmean latency {tel_latency * 1e3:.3f} ms/image, "
-          f"{len(events) / (NUM_IMAGES - 1):.1f} events/image costing "
-          f"{per_image_cost * 1e6:.1f} us/image (x{SAFETY_FACTOR:.1f} safety) "
-          f"-> overhead {overhead * 100:.3f}% (A/B diff {ab_diff * 100:+.2f}%, noise-dominated)")
-    assert overhead < MAX_OVERHEAD, (
-        f"telemetry recording overhead {overhead * 100:.2f}% exceeds {MAX_OVERHEAD * 100:.0f}% budget"
+    print(f"\n{events_per_image:.1f} events/image costing {cost_us:.1f} us/image "
+          f"(x{SAFETY_FACTOR:.1f} safety; budget {MAX_EVENTS_PER_IMAGE} events, "
+          f"{MAX_COST_US_PER_IMAGE} us); mean latency {tel_latency * 1e3:.3f} ms/image "
+          f"-> {overhead * 100:.2f}% of it (A/B diff {ab_diff * 100:+.2f}%, noise-dominated)")
+    assert events_per_image <= MAX_EVENTS_PER_IMAGE, (
+        f"{events_per_image:.1f} telemetry events per image exceed the {MAX_EVENTS_PER_IMAGE}-event budget"
+    )
+    assert cost_us <= MAX_COST_US_PER_IMAGE, (
+        f"recording costs {cost_us:.1f} us per image, over the {MAX_COST_US_PER_IMAGE} us budget"
     )

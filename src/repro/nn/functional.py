@@ -2,23 +2,32 @@
 
 The convolution kernels here are the computational heart of the reproduction:
 they run both the per-tile FDSP forward passes on (emulated) Conv nodes and
-the retraining loops of Algorithm 1.  Convolution is implemented as im2col
-(``sliding_window_view``, zero-copy) followed by a GEMM over the flattened
-output rows, and its input gradient uses the dilated transposed-convolution
-identity so every path stays vectorized: no Python loops over pixels.
+the retraining loops of Algorithm 1.  Convolution is implemented as a
+*K-major* im2col followed by a GEMM: ``colst[(c, kh, kw), (n, ho, wo)]`` is
+filled by ``kh·kw`` strided slice assignments from the padded input, so the
+copies run over whole output rows instead of ``kw``-element windows, and
+its input gradient uses the dilated transposed-convolution identity so
+every path stays vectorized: no Python loops over pixels.  Max-pooling
+folds the ``k·k`` strided views of its input with ``np.maximum`` (no
+window copy); the winner indices are computed in the backward pass only.
 
-The GEMM is dispatched in *fixed-shape chunks* — every BLAS call is exactly
+The GEMM is dispatched in *fixed-shape chunks* — BLAS reads each
+``_GEMM_CHUNK_ROWS``-column chunk of ``colst`` through a transposed view
+(``colst[:, s:e].T @ wmat``, no copy), so every call is logically exactly
 ``(_GEMM_CHUNK_ROWS, C·kh·kw) @ (C·kh·kw, O)``, the last chunk zero-padded
 to size — and that shape discipline is a deliberate invariant, not an
 accident: BLAS picks different kernels (hence different summation orders)
 for different matrix sizes, so a variable-``M`` GEMM makes an output
-pixel's bits depend on how many rows share its call (batch size, tile
+pixel's bits depend on how many columns share its call (batch size, tile
 area).  With every call identically shaped, each output pixel is a pure
-function of its own im2col row, which buys two bitwise guarantees at once
-(DESIGN.md §5i): stacking a grid's K tiles into one (K·N, C, h, w) block
-yields exactly the bits of K separate forwards, and a tile's interior
-pixels equal the unpartitioned whole-image forward exactly (the FDSP
-exactness contract of §3.2).
+function of its own im2col column — not of the batch around it, nor of
+the column's offset within its chunk — which buys two bitwise guarantees
+at once (DESIGN.md §5i): stacking a grid's K tiles into one
+(K·N, C, h, w) block yields exactly the bits of K separate forwards, and
+a tile's interior pixels equal the unpartitioned whole-image forward
+exactly (the FDSP exactness contract of §3.2).  Those, and fused ==
+module, are the pinned contracts; conv output bits across commits are not
+(BLAS may pick another small-matrix kernel for the transposed operand).
 """
 
 from __future__ import annotations
@@ -51,54 +60,65 @@ def _as_pair(v) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 # Raw NumPy convolution helpers (shared by forward and backward passes).
 # --------------------------------------------------------------------------
-#: Fixed GEMM height.  Every conv BLAS call is exactly this many rows (the
-#: last chunk zero-padded), so kernel selection — and therefore summation
-#: order — never varies with batch size or tile area.  See module docstring.
+#: Fixed GEMM height.  Every conv BLAS call is logically exactly this many
+#: rows (the last chunk zero-padded), so kernel selection — and therefore
+#: summation order — never varies with batch size or tile area.  See module
+#: docstring.
 _GEMM_CHUNK_ROWS = 256
-
-
-def _chunked_matmul(cols: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """``cols (M, K) @ wmat (K, O)`` via fixed-shape GEMM calls.
-
-    Both operands must be C-contiguous.  Each output row depends only on
-    the corresponding input row, bitwise, regardless of ``M``.
-    """
-    rows, k = cols.shape
-    out = np.empty((rows, wmat.shape[1]), dtype=cols.dtype)
-    pad_buf: np.ndarray | None = None
-    for start in range(0, rows, _GEMM_CHUNK_ROWS):
-        stop = min(start + _GEMM_CHUNK_ROWS, rows)
-        if stop - start == _GEMM_CHUNK_ROWS:
-            out[start:stop] = cols[start:stop] @ wmat
-        else:
-            if pad_buf is None:
-                pad_buf = np.zeros((_GEMM_CHUNK_ROWS, k), dtype=cols.dtype)
-            pad_buf[: stop - start] = cols[start:stop]
-            out[start:stop] = (pad_buf @ wmat)[: stop - start]
-    return out
 
 
 def _conv2d_raw(x: np.ndarray, w: np.ndarray, stride: tuple[int, int], pad: tuple[int, int]) -> np.ndarray:
     """Cross-correlate ``x`` (N,C,H,W) with ``w`` (O,C,kh,kw)."""
     sh, sw = stride
     ph, pw = pad
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    kh, kw = w.shape[2], w.shape[3]
-    # (N, C, Ho', Wo', kh, kw) view — zero-copy.
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if sh != 1 or sw != 1:
-        win = win[:, :, ::sh, ::sw]
-    n, c, ho, wo = win.shape[:4]
-    o = w.shape[0]
-    # im2col + fixed-shape chunked GEMM: every BLAS call sees one layout
-    # and one shape, making each output pixel a pure function of its own
-    # im2col row (see module docstring).  Both operands are made
-    # C-contiguous so slicing by the caller can't change the layout.
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
-    wmat = np.ascontiguousarray(w.transpose(1, 2, 3, 0)).reshape(c * kh * kw, o)
-    out = _chunked_matmul(cols, wmat)
+        xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph : ph + h, pw : pw + wd] = x
+        x = xp
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
+    m, k = n * ho * wo, c * kh * kw
+    # K-major im2col: colst[(c, dy, dx), (n, ho, wo)], one strided slice
+    # copy per kernel offset, so the inner runs are whole output rows.
+    colst = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for dy in range(kh):
+        for dx in range(kw):
+            colst[:, dy, dx] = xt[:, :, dy : dy + sh * ho : sh, dx : dx + sw * wo : sw]
+    colst = colst.reshape(k, m)
+    wmat = np.ascontiguousarray(w.reshape(o, k).T)
+    # Fixed-shape chunked GEMM: BLAS reads each 256-column chunk through a
+    # transposed view (no copy), so every call is logically (256, K) @ (K, O)
+    # and each output pixel is a pure function of its own im2col column
+    # (see module docstring).
+    out = np.empty((m, o), dtype=x.dtype)
+    full = m - m % _GEMM_CHUNK_ROWS
+    for s in range(0, full, _GEMM_CHUNK_ROWS):
+        np.matmul(colst[:, s : s + _GEMM_CHUNK_ROWS].T, wmat, out=out[s : s + _GEMM_CHUNK_ROWS])
+    if full < m:
+        tail = np.zeros((k, _GEMM_CHUNK_ROWS), dtype=x.dtype)
+        tail[:, : m - full] = colst[:, full:]
+        out[full:] = (tail.T @ wmat)[: m - full]
     return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+
+
+def _max_pool2d_raw(x: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping ``k``×``k`` max pool of ``x`` (N,C,H,W).
+
+    Folds the ``k·k`` strided views with ``np.maximum``: no window copy,
+    and exact, so the values equal a max over the gathered windows.
+    """
+    h, w = x.shape[2], x.shape[3]
+    if h % k or w % k:
+        raise ValueError(f"max_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
+    out = x[:, :, ::k, ::k].copy()
+    for dy in range(k):
+        for dx in range(k):
+            if dy or dx:
+                np.maximum(out, x[:, :, dy::k, dx::k], out=out)
+    return out
 
 
 def _dilate(g: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
@@ -219,14 +239,14 @@ def max_pool2d(x: Tensor, kernel: int) -> Tensor:
     """
     n, c, h, w = x.shape
     k = kernel
-    if h % k or w % k:
-        raise ValueError(f"max_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
+    out_data = _max_pool2d_raw(x.data, k)
     ho, wo = h // k, w // k
-    win = x.data.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-    idx = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
     def bwd(out: Tensor) -> None:
+        # The winner indices are only needed here, so inference never pays
+        # for the window gather + argmax.
+        win = x.data.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+        idx = win.argmax(axis=-1)
         gwin = np.zeros((n, c, ho, wo, k * k), dtype=x.data.dtype)
         np.put_along_axis(gwin, idx[..., None], out.grad[..., None], axis=-1)
         gx = gwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)

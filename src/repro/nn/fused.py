@@ -12,11 +12,12 @@ Bit-identity contract
 ---------------------
 Every fused step reproduces the exact ufunc sequence of its module
 counterpart (same ops, same operand dtypes, same clip bounds), and the
-convolution goes through the same :func:`~repro.nn.functional._conv2d_raw`
-per-sample GEMM.  ``FusedSeparable(stack)(x)`` therefore returns bitwise the
-same array as ``stack(Tensor(x)).data`` in eval mode — a property the
-conformance tests assert, and the reason workers may switch freely between
-the two paths.
+convolution and the max-pool are the module path's own kernels
+(:func:`~repro.nn.functional._conv2d_raw`, the per-sample GEMM, and
+:func:`~repro.nn.functional._max_pool2d_raw`).
+``FusedSeparable(stack)(x)`` therefore returns bitwise the same array as
+``stack(Tensor(x)).data`` in eval mode — a property the conformance tests
+assert, and the reason workers may switch freely between the two paths.
 
 Composite blocks opt in by implementing ``fused_steps(compile_module)``
 (see :class:`repro.models.blocks.ResidualBlock`); unknown modules make
@@ -32,7 +33,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .functional import _conv2d_raw
+from .functional import _conv2d_raw, _max_pool2d_raw
 from .modules import (
     AvgPool2d,
     ClippedReLU,
@@ -156,13 +157,7 @@ def _quantize_ste_steps(m: QuantizeSTE) -> list[Step]:
 
 def _max_pool2d_steps(m: MaxPool2d) -> list[Step]:
     def run(x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = m.kernel_size
-        if h % k or w % k:
-            raise ValueError(f"max_pool2d: spatial dims {(h, w)} not divisible by kernel {k}")
-        ho, wo = h // k, w // k
-        win = x.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-        return win.max(axis=-1)
+        return _max_pool2d_raw(x, m.kernel_size)
 
     return [(run, False)]
 

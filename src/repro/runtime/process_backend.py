@@ -260,13 +260,10 @@ class InferenceOutcome:
     locally_computed_tiles: list[int] = field(default_factory=list)
     wall_seconds: float = 0.0
     #: Worker-measured seconds, summed per worker over this image's tiles:
-    #: ``compute_seconds_per_worker`` is dequeue → result built (the busy
-    #: time Algorithm 2's rate credits use); ``wall_seconds_per_worker``
-    #: is the same envelope (the per-tile spans tile each batch's measured
-    #: wall time exactly, so the two are equal).  Empty for images where no
-    #: worker replied.
+    #: dequeue → result built (the busy time Algorithm 2's rate credits
+    #: use; the per-tile spans tile each batch's measured wall time
+    #: exactly).  Empty for images where no worker replied.
     compute_seconds_per_worker: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    wall_seconds_per_worker: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 class ProcessCluster:
@@ -729,7 +726,6 @@ class ProcessCluster:
             locally_computed_tiles=sorted(st["local"]),
             wall_seconds=t_done - st["start"],
             compute_seconds_per_worker=st["busy"].copy(),
-            wall_seconds_per_worker=st["busy"].copy(),
         )
         self._execute(
             self._controller.handle(MergeCompleted(time.monotonic(), image_id)),

@@ -391,13 +391,10 @@ class TestProcessBackendTelemetry:
         _, outcomes = process_run
         for out in outcomes:
             assert out.compute_seconds_per_worker.shape == (2,)
-            assert out.wall_seconds_per_worker.shape == (2,)
             # every tile was computed somewhere, so some worker was busy
             assert out.compute_seconds_per_worker.sum() > 0
-            assert out.wall_seconds_per_worker.sum() > 0
-            # worker-side busy time cannot exceed the image's wall time by
-            # more than the 2x parallelism
-            assert out.wall_seconds_per_worker.max() <= out.wall_seconds + 1e-6
+            # one worker's busy time fits inside the image's wall time
+            assert out.compute_seconds_per_worker.max() <= out.wall_seconds + 1e-6
 
     def test_wire_accounting_uses_real_compression(self, process_run):
         tel, _ = process_run
@@ -422,7 +419,7 @@ class TestProcessBackendTelemetry:
 
 class TestOutcomeTimingsWithoutTelemetry:
     def test_timings_present_with_null_recorder(self):
-        """Satellite: compute/wall seconds survive into the outcome even
+        """Satellite: worker busy seconds survive into the outcome even
         with telemetry disabled — the protocol always carries them."""
         from repro.models import vgg_mini
         from repro.runtime import ProcessCluster, ProcessClusterConfig
@@ -431,5 +428,5 @@ class TestOutcomeTimingsWithoutTelemetry:
         img = np.random.default_rng(3).normal(size=(1, 3, 24, 24)).astype(np.float32)
         with ProcessCluster(model, "2x2", config=ProcessClusterConfig(num_workers=2, t_limit=30.0)) as c:
             out = c.infer(img)
+        assert out.compute_seconds_per_worker.shape == (2,)
         assert out.compute_seconds_per_worker.sum() > 0
-        assert out.wall_seconds_per_worker.sum() > 0
