@@ -12,12 +12,13 @@ reads as ~100 ms, so the rows below would not measure what production runs.
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import repro.nn as nn
 import repro.nn.functional as F
-from repro.compression import CompressionPipeline, pack_levels, unpack
+from repro.compression import CompressionPipeline, pack_levels, unpack, wire
 from repro.models import vgg_mini
 from repro.nn import Tensor, blas
 from repro.nn.functional import _conv2d_raw, _max_pool2d_raw
@@ -213,6 +214,44 @@ def test_looped_tile_forward_baseline(benchmark):
             return [stack(Tensor(t)).data for t in tiles]
 
     benchmark(looped)
+
+
+def test_batch_stream_codec_speedup(benchmark):
+    """CI gate (DESIGN.md §5d): one ``steady_compute`` worker's batch — 8
+    stacked ``(1, 24, 12, 12)`` tile outputs, ~0.56 zeros — encoded and
+    decoded as one stream through the byte-wide 4/8-bit packers must be
+    >= 2x eight per-tile streams through the bit-matrix packer (the codec
+    before batch streams)."""
+    model = vgg_mini(num_classes=3, input_size=96, base_width=12, separable_prefix=4).eval()
+    fused = try_compile(model.separable_part())
+    tiles = split_array(RNG.normal(size=(1, 3, 96, 96)).astype(np.float32), TileGrid(4, 4))
+    block = fused(np.concatenate(tiles[:8]))
+    outs = np.split(block, 8)
+    pipe = CompressionPipeline(bits=4)
+
+    def per_tile():
+        return [pipe.decompress(pipe.compress_packed(o)) for o in outs]
+
+    def batch():
+        return pipe.decompress(pipe.compress_packed(block))
+
+    bit_matrix = mock.patch.multiple(
+        wire, _pack_bits=wire._pack_bits_matrix, _unpack_bits=wire._unpack_bits_matrix
+    )
+    with bit_matrix:
+        per_tile_levels = [unpack(pipe.compress_packed(o).packed) for o in outs]
+        t_per_tile = _timed(per_tile)
+    levels = unpack(pipe.compress_packed(block).packed)
+    np.testing.assert_array_equal(np.concatenate(per_tile_levels), levels)
+    t_batch = _timed(batch)
+    speedup = t_per_tile / t_batch
+    assert speedup >= 2.0, (
+        f"batch-stream codec only {speedup:.2f}x per-tile bit-matrix streams "
+        f"(per-tile {t_per_tile * 1e3:.3f} ms, batch {t_batch * 1e3:.3f} ms, "
+        f"sparsity {float((levels == 0).mean()):.2f})"
+    )
+    benchmark.extra_info["speedup_vs_per_tile_bit_matrix"] = speedup
+    benchmark(batch)
 
 
 def test_fused_clip_quantize_speedup(benchmark):

@@ -7,6 +7,13 @@ before transmission, and what the Central node inverts on receipt.  It is
 *lossy* once (clip + quantize) but the wire encoding itself is lossless, so
 ``decompress(compress_packed(x)) == clip-and-quantize(x)`` exactly — which is
 also exactly what the retrained model (Figure 7b) was trained to expect.
+
+The runtime calls it once per *batch*: a Conv node encodes the stacked
+output of all its tiles for one image as one stream, and the Central node
+decodes that stream once and takes each tile's rows from it.  Clip,
+quantize and dequantize are elementwise and the RLE is lossless, so the rows
+equal per-tile round trips bit for bit; only the header count and the zero
+runs that cross tile boundaries differ on the wire.
 """
 
 from __future__ import annotations

@@ -29,7 +29,16 @@ Each section is padded to a byte boundary, so::
     8 * nbytes   == header_bits + payload_bits + padding_bits
 
 Encode and decode are fully vectorized — token widths, bit scatter/gather,
-and output fill are NumPy array ops; there is no per-run Python loop.
+and output fill are NumPy array ops; there is no per-run Python loop.  The
+section packer is chosen from the field width alone: 8-bit fields are the
+bytes themselves, 4-bit fields pack two to a byte (``hi << 4 | lo``), and
+every other width goes through a ``(n, width)`` bit matrix — the same
+bytes either way.
+
+A stream may hold any number of tiles: the runtime encodes each batch's
+stacked ``(k·N, C, h, w)`` output as one stream (the header records that
+shape), so a batch pays one header and zero runs continue across tile
+boundaries.
 """
 
 from __future__ import annotations
@@ -112,9 +121,13 @@ class PackedStream:
 
     @classmethod
     def from_buffer(cls, buffer: bytes | bytearray | memoryview | np.ndarray) -> "PackedStream":
-        """Parse a packed buffer's header (sections stay as raw bytes)."""
-        buf = np.frombuffer(bytes(buffer), dtype=np.uint8) if not isinstance(buffer, np.ndarray) else buffer
-        buf = np.ascontiguousarray(buf, dtype=np.uint8).reshape(-1)
+        """Parse a packed buffer's header (sections stay as raw bytes).
+
+        Bytes-like input is viewed in place (``np.frombuffer``), not copied.
+        """
+        if not isinstance(buffer, np.ndarray):
+            buffer = np.frombuffer(buffer, dtype=np.uint8)
+        buf = np.ascontiguousarray(buffer, dtype=np.uint8).reshape(-1)
         if buf.size < _FIXED_HEADER:
             raise ValueError(f"buffer too short for a packed header ({buf.size} bytes)")
         if buf[0] != _MAGIC or buf[1] != _VERSION:
@@ -154,7 +167,24 @@ def max_packed_nbytes(num_elements: int, ndim: int, value_bits: int = 4, run_bit
 
 
 def _pack_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Pack each value into ``width`` bits, MSB-first, byte-padded."""
+    """Pack each value into ``width`` bits, MSB-first, byte-padded.
+
+    Widths 8 and 4 — the runtime's run counters and literals — are whole
+    bytes and nibbles, packed directly; every other width goes through
+    :func:`_pack_bits_matrix`.  All three produce the same bytes.
+    """
+    if width == 8:
+        return values.astype(np.uint8)
+    if width == 4:
+        v = values.astype(np.uint8)
+        if len(v) % 2:
+            v = np.append(v, np.uint8(0))  # the bit-matrix path zero-pads the last byte too
+        return (v[0::2] << 4) | v[1::2]
+    return _pack_bits_matrix(values, width)
+
+
+def _pack_bits_matrix(values: np.ndarray, width: int) -> np.ndarray:
+    """Any width: expand to a ``(n, width)`` bit matrix, then ``np.packbits``."""
     if len(values) == 0:
         return np.zeros(0, dtype=np.uint8)
     v = values.astype(np.uint64, copy=False)
@@ -164,7 +194,23 @@ def _pack_bits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _unpack_bits(section: np.ndarray, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`: ``count`` values of ``width`` bits."""
+    """Inverse of :func:`_pack_bits`: ``count`` values of ``width`` bits.
+
+    Always ``uint64``, whatever the width: callers add to the values (run
+    counters store ``length - 1``), and a narrower dtype would wrap.
+    """
+    if width == 8:
+        return section[:count].astype(np.uint64)
+    if width == 4:
+        nibbles = np.empty((len(section), 2), dtype=np.uint8)
+        np.right_shift(section, 4, out=nibbles[:, 0])
+        np.bitwise_and(section, 0x0F, out=nibbles[:, 1])
+        return nibbles.reshape(-1)[:count].astype(np.uint64)
+    return _unpack_bits_matrix(section, count, width)
+
+
+def _unpack_bits_matrix(section: np.ndarray, count: int, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_bits_matrix`: ``np.unpackbits``, then a weighted sum."""
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
     bits = np.unpackbits(section)[: count * width].reshape(count, width)

@@ -112,22 +112,23 @@ def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> l
 class BatchResult:
     """A Conv node's intermediate results for one :class:`BatchTask`.
 
-    ``payload`` is the batch's result bytes as **one** buffer: with the §4
-    pipeline on, the tiles' packed codec buffers (wire format v1 each) laid
-    back to back, ``extents`` giving every tile's ``(nbytes, raw_bits)``;
-    with it off, the raw stacked output ``(k·N, C', h', w')`` and no
-    extents.  On the queue the buffer may be replaced by the :class:`ShmRef`
-    of the one result-ring slot holding it, which the Central node
-    materializes back before accepting any tile.  ``None`` only on a
-    ``dropped`` marker.
+    ``payload`` is the batch's result as **one** buffer, and the batch is
+    the codec stream: with the §4 pipeline on, the stacked output
+    ``(k·N, C', h', w')`` encoded as one packed ``uint8`` stream (wire
+    format v1, whose header records that shape; zero runs continue across
+    tile boundaries); with it off, the raw stacked output itself.  Tile
+    ``tile_ids[i]`` is rows ``[i·N, (i+1)·N)`` of the decoded block.  On the
+    queue the buffer may be replaced by the :class:`ShmRef` of the one
+    result-ring slot holding it, which the Central node materializes back
+    before accepting any tile.  ``None`` only on a ``dropped`` marker.
 
     Timing is measured worker-side on ``time.perf_counter()``
     (CLOCK_MONOTONIC — comparable across forked processes on Linux, so the
     Central node can place worker spans on a shared timeline): ``t_start``
     is the dequeue stamp, ``forward_seconds`` the one stacked forward (slot
-    attach and emulated delay included) and ``compress_seconds`` each tile's
-    own compress time plus an equal share of the one slot write.
-    :meth:`tile_spans` telescopes them into contiguous per-tile spans.
+    attach and emulated delay included) and ``compress_seconds`` the one
+    encode plus the one slot write.  :meth:`tile_spans` telescopes them
+    into contiguous per-tile spans.
 
     ``ring_fallback`` marks a batch whose bytes *could* have used the
     worker's result ring but shipped inline because every slot was still
@@ -146,10 +147,9 @@ class BatchResult:
     tile_ids: tuple[int, ...]
     payload: np.ndarray | ShmRef | None
     worker: int
-    extents: tuple[tuple[int, int], ...] = ()
     t_start: float = 0.0
     forward_seconds: float = 0.0
-    compress_seconds: tuple[float, ...] = ()
+    compress_seconds: float = 0.0
     ring_fallback: bool = False
     dropped: bool = False
     #: Echo of the dispatching task's trace context (``None`` when tracing is off).
@@ -158,15 +158,16 @@ class BatchResult:
     def tile_spans(self) -> Iterator[tuple[float, float, float]]:
         """Per-tile ``(t_start, compute_seconds, compress_seconds)``.
 
-        Each tile is credited an equal share of the stacked forward plus its
-        own compress time; the spans tile ``[t_start, result put]``
+        Each tile is credited an equal share of the stacked forward and of
+        the batch's compress time; the spans tile ``[t_start, result put]``
         contiguously, so the per-tile ``compute_seconds`` sum exactly to the
         batch's measured wall time (the telemetry invariant the tracing
         tests assert).
         """
-        share = self.forward_seconds / len(self.tile_ids)
+        k = len(self.tile_ids)
+        share, compress = self.forward_seconds / k, self.compress_seconds / k
         start = self.t_start
-        for compress in self.compress_seconds:
+        for _ in range(k):
             yield start, share + compress, compress
             start += share + compress
 

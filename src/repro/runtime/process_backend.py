@@ -106,12 +106,17 @@ class _ImageState(TypedDict):
     ``trigger`` is ``None`` until the controller's :class:`TriggerMerge`
     command lands — finalize paths must handle both states (a deadline can
     fire before any result arrives).
+
+    ``batches`` holds each accepted batch's one payload (a packed stream or
+    the raw stacked output), decoded once at merge; ``results`` maps every
+    accepted tile to ``(index into batches, row of the tile in it)``.
     """
 
     tiles: list[np.ndarray]
     allocation: np.ndarray
     assignment: dict[int, int]
-    results: dict[int, PackedTensor | np.ndarray]
+    batches: list[PackedTensor | np.ndarray]
+    results: dict[int, tuple[int, int]]
     received: np.ndarray
     busy: np.ndarray
     local: list[int]
@@ -144,8 +149,8 @@ def _worker_loop(
     ``endpoint`` (:mod:`repro.runtime.transport`); the block runs as one
     stacked forward (identically-shaped tiles) through the fused no-grad
     kernels when the stack compiles, with the emulated per-tile delay scaled
-    by the batch size, and each tile's output is then compressed on its own
-    (pipeline on) or left in the raw stacked output (pipeline off).
+    by the batch size, and the stacked output is then encoded as one codec
+    stream (pipeline on) or shipped raw (pipeline off).
 
     A batch whose block cannot be read (its slot was unlinked under us in a
     shutdown race) produces a ``dropped`` marker instead of vanishing
@@ -181,28 +186,18 @@ def _worker_loop(
             else:
                 with nn.no_grad():
                     out_block = separable(Tensor(block)).data
-            t_forward = prev = time.perf_counter()
-            compress = [0.0] * k
-            results: list[PackedTensor] | np.ndarray = out_block
-            if pipeline is not None:
-                n = out_block.shape[0] // k
-                results = []
-                for i in range(k):
-                    results.append(pipeline.compress_packed(out_block[i * n : (i + 1) * n]))
-                    now = time.perf_counter()
-                    compress[i], prev = now - prev, now
-            payload, extents, ring_fallback = endpoint.stage_result(results)
-            staging = (time.perf_counter() - prev) / k  # the one slot write, shared
+            t_forward = time.perf_counter()
+            result = out_block if pipeline is None else pipeline.compress_packed(out_block).packed.buffer
+            payload, ring_fallback = endpoint.stage_result(result)
             result_queue.put(
                 BatchResult(
                     image_id=msg.image_id,
                     tile_ids=msg.tile_ids,
                     payload=payload,
                     worker=worker_id,
-                    extents=extents,
                     t_start=t_start,
                     forward_seconds=t_forward - t_start,
-                    compress_seconds=tuple(c + staging for c in compress),
+                    compress_seconds=time.perf_counter() - t_forward,
                     ring_fallback=ring_fallback,
                     trace=msg.trace,
                 )
@@ -560,18 +555,21 @@ class ProcessCluster:
     ) -> None:
         """Central-node fallback: run the separable block in-process.
 
-        The results take the same shape a worker's would (packed bytes when
-        the pipeline is on), so merge and wire-bit accounting see one format.
+        The tiles run as one stacked forward and the result takes the shape
+        a worker's batch would (one packed stream when the pipeline is on),
+        so merge and wire-bit accounting see one format.
         """
-        for tid in tile_ids:
-            tile = np.ascontiguousarray(st["tiles"][tid])
-            if self._fused is not None:
-                out = self._fused(tile)
-            else:
-                with nn.no_grad():
-                    out = self._separable(Tensor(tile)).data
-            payload = self.pipeline.compress_packed(out) if self.pipeline is not None else out
-            st["results"][tid] = payload
+        ids = list(tile_ids)
+        block = np.concatenate([st["tiles"][tid] for tid in ids])
+        if self._fused is not None:
+            out = self._fused(block)
+        else:
+            with nn.no_grad():
+                out = self._separable(Tensor(block)).data
+        st["batches"].append(self.pipeline.compress_packed(out) if self.pipeline is not None else out)
+        batch = len(st["batches"]) - 1
+        for row, tid in enumerate(ids):
+            st["results"][tid] = (batch, row)
             st["assignment"][tid] = LOCAL_WORKER
             st["local"].append(tid)
             self._execute(
@@ -586,15 +584,16 @@ class ProcessCluster:
         one task message, whatever the tile count."""
         if self._endpoint.needs_ring(node):
             # First work for this incarnation: size its result slots for a
-            # whole image's worst case — the raw float32 output or the packed
-            # codec's bound, whichever is larger — so any batch fits one slot.
+            # whole image's worst case — the raw float32 output or the bound
+            # of one packed stream over it, whichever is larger — so any
+            # batch fits one slot.
             out_shape = self._tile_output_shape(st["tiles"][0])
-            n_out = int(np.prod(out_shape))
+            n_out = int(np.prod(out_shape)) * len(st["tiles"])
             nbytes = n_out * 4
             if self.pipeline is not None:
                 nbytes = max(nbytes, max_packed_nbytes(
                     n_out, len(out_shape), self.pipeline.bits, self.pipeline.run_bits))
-            self._endpoint.grant_ring(node, nbytes * len(st["tiles"]), self._task_queues[node])
+            self._endpoint.grant_ring(node, nbytes, self._task_queues[node])
         # The task carries the request's frozen trace context across the IPC
         # boundary; the worker echoes it back on the BatchResult (§5h).
         scope = st["scope"]
@@ -682,7 +681,7 @@ class ProcessCluster:
         # result carries this (now-retired) image_id and gets dropped.
         self._endpoint.release_task(image_id)
         t_merge = time.perf_counter()
-        out_tiles, missing = self._materialize_tiles(st["tiles"], st["results"])
+        out_tiles, missing = self._materialize_tiles(st["tiles"], st["batches"], st["results"])
         feature_map = reassemble_array(out_tiles, self.grid)
         t_rest = time.perf_counter()
         with nn.no_grad():
@@ -697,9 +696,10 @@ class ProcessCluster:
                      **(scope.child_fields() if scope is not None else {}))
             tel.span(STAGE_CENTRAL, t_rest, t_done - t_rest, node="central", image_id=image_id,
                      **(scope.child_fields() if scope is not None else {}))
-            for payload in st["results"].values():
+            for payload in st["batches"]:
                 if isinstance(payload, PackedTensor):
-                    # The measured buffer length is the honest wire count.
+                    # The measured buffer length is the honest wire count:
+                    # one stream per batch, header included.
                     tel.count("adcnn_bits_wire_total", payload.wire_bits, direction="down")
                     tel.count("adcnn_bits_raw_total", payload.raw_bits, direction="down")
                 else:
@@ -863,20 +863,25 @@ class ProcessCluster:
                 # we end up dropping must have its semaphore permit returned,
                 # or the worker's ring shrinks by one slot forever.
                 try:
-                    payloads = self._endpoint.materialize(res)
+                    payload = self._endpoint.materialize(res)
                 except Exception:
                     # Corrupt result bytes: unanswered like a dropped batch,
                     # but counted so T_L is not the only trace of it.
                     tel.count("adcnn_result_corrupt_total", len(res.tile_ids), node=node)
                     continue
                 target = inflight.get(res.image_id)
-                if payloads is None or target is None:
+                if payload is None or target is None:
                     continue  # replaced worker incarnation, or stale image
-                for tile_id, payload, span in zip(res.tile_ids, payloads, res.tile_spans()):
+                if all(tid in target["results"] for tid in res.tile_ids):
+                    continue  # duplicate after a re-dispatch race
+                # Kept encoded: the merge decodes each batch once (DESIGN.md §5d).
+                target["batches"].append(payload)
+                batch = len(target["batches"]) - 1
+                for row, (tile_id, span) in enumerate(zip(res.tile_ids, res.tile_spans())):
                     if tile_id in target["results"]:
                         continue  # duplicate after a re-dispatch race
                     busy = span[1]
-                    target["results"][tile_id] = payload
+                    target["results"][tile_id] = (batch, row)
                     target["received"][res.worker] += 1
                     target["busy"][res.worker] += busy
                     if tel.enabled:
@@ -938,21 +943,30 @@ class ProcessCluster:
         tel.span(STAGE_RESULT_TRANSFER, t_end, max(recv - t_end, 0.0), **fields, **_trace_fields())
 
     def _materialize_tiles(
-        self, tiles: list[np.ndarray], results: dict[int, PackedTensor | np.ndarray]
+        self,
+        tiles: list[np.ndarray],
+        batches: list[PackedTensor | np.ndarray],
+        results: dict[int, tuple[int, int]],
     ) -> tuple[list[np.ndarray], list[int]]:
-        """Decompress received tiles; zero-fill the rest (§6.1)."""
+        """Decode each batch once and take every received tile's rows from
+        it; zero-fill the rest (§6.1)."""
         shape = self._tile_output_shape(tiles[0])
+        n = shape[0]
+        blocks = [
+            self.pipeline.decompress(b) if self.pipeline is not None and isinstance(b, PackedTensor)
+            else np.asarray(b, dtype=np.float32)
+            for b in batches
+        ]
         out: list[np.ndarray] = []
         missing: list[int] = []
         for tile_id in range(len(tiles)):
-            payload = results.get(tile_id)
-            if isinstance(payload, PackedTensor) and self.pipeline is not None:
-                out.append(self.pipeline.decompress(payload))
-            elif isinstance(payload, np.ndarray):
-                out.append(np.asarray(payload, dtype=np.float32))
-            else:
+            entry = results.get(tile_id)
+            if entry is None:
                 missing.append(tile_id)
                 out.append(np.zeros(shape, dtype=np.float32))
+            else:
+                batch, row = entry
+                out.append(blocks[batch][row * n : (row + 1) * n])
         return out, missing
 
     def _tile_output_shape(self, tile: np.ndarray) -> tuple[int, ...]:
@@ -1052,6 +1066,7 @@ class StreamEngine:
             # re-dispatch adjustments show through to the outcome.
             "allocation": cluster._controller.allocation_view(image_id),
             "assignment": {},
+            "batches": [],
             "results": {},
             "received": np.zeros(cluster.config.num_workers, dtype=int),
             "busy": np.zeros(cluster.config.num_workers),

@@ -91,42 +91,34 @@ class WorkerEndpoint:
             rows = stack[list(ids)]
         return rows.reshape(-1, *stack.shape[2:])
 
-    def stage_result(
-        self, results: Sequence[PackedTensor] | np.ndarray
-    ) -> tuple[np.ndarray | ShmRef, tuple[tuple[int, int], ...], bool]:
-        """Lay a batch's results out as one buffer and move it into one
-        ring slot, if possible.
+    def stage_result(self, result: np.ndarray) -> tuple[np.ndarray | ShmRef, bool]:
+        """Move a batch's one result buffer into one ring slot, if possible.
 
-        ``results`` is the tiles' packed tensors (laid back to back, one
-        ``(nbytes, raw_bits)`` extent each) or the raw stacked output (no
-        extents).  Returns ``(buffer_or_descriptor, extents, ring_fallback)``.
-        Ships the buffer inline when no ring was granted, the ring is full,
-        the bytes outgrow the slot, or the arena has vanished — correctness
-        never depends on slot capacity.  The ring-full probe is
-        **non-blocking**: a slow-draining Central node must never stall the
-        worker (head-of-line blocking for every queued batch behind this
-        one); that case alone is reported as ``ring_fallback`` so the
-        collect loop can count ring exhaustion in telemetry.
+        ``result`` is the batch's packed codec stream (``uint8``, wire
+        format v1) or its raw stacked output.  Returns
+        ``(buffer_or_descriptor, ring_fallback)``.  Ships the buffer inline
+        when no ring was granted, the ring is full, the bytes outgrow the
+        slot, or the arena has vanished — correctness never depends on slot
+        capacity.  The ring-full probe is **non-blocking**: a slow-draining
+        Central node must never stall the worker (head-of-line blocking for
+        every queued batch behind this one); that case alone is reported as
+        ``ring_fallback`` so the collect loop can count ring exhaustion in
+        telemetry.
         """
-        extents: tuple[tuple[int, int], ...] = ()
-        if isinstance(results, np.ndarray):
-            data = np.ascontiguousarray(results)
-        else:
-            extents = tuple((p.packed.buffer.nbytes, p.raw_bits) for p in results)
-            data = np.concatenate([p.packed.buffer for p in results])
+        data = np.ascontiguousarray(result)
         grant, sem = self._grant, self._sem
         if grant is None or sem is None or data.nbytes > grant.slot_nbytes:
-            return data, extents, False
+            return data, False
         if not sem.acquire(block=False):
-            return data, extents, True  # central is slow to drain; ship inline
+            return data, True  # central is slow to drain; ship inline
         name = grant.slot_names[self._cursor % len(grant.slot_names)]
         try:
             ref = write_array(attach_slot(self._attachments, name), data)
         except Exception:
             sem.release()
-            return data, extents, False
+            return data, False
         self._cursor += 1
-        return ref, extents, False
+        return ref, False
 
     def close(self) -> None:
         close_attachments(self._attachments)
@@ -263,14 +255,16 @@ class CentralEndpoint:
             self._task_arena.release(staged[0])
 
     # ---------------------------------------------------------------- results
-    def materialize(self, res: BatchResult) -> list[PackedTensor | np.ndarray] | None:
-        """The batch's per-tile payloads, copied out of its ring slot (the
-        permit returns right after the copy) or split from the inline buffer.
+    def materialize(self, res: BatchResult) -> PackedTensor | np.ndarray | None:
+        """The batch's one payload, copied out of its ring slot (the permit
+        returns right after the copy) or taken from the inline buffer: a
+        ``uint8`` buffer is the batch's packed stream, parsed here, and
+        anything else the raw stacked output.
 
         ``None`` when the descriptor points at a ring that no longer exists
         (a result from a replaced worker incarnation — its tiles were
-        already re-dispatched).  Raises when the bytes do not parse as the
-        batch they claim to be; the permit is back by then.
+        already re-dispatched).  Raises when the bytes do not parse as a
+        packed stream; the permit is back by then.
         """
         data = res.payload
         if isinstance(data, ShmRef):
@@ -288,10 +282,7 @@ class CentralEndpoint:
                 if sem is not None:
                     sem.release()
         assert data is not None, "only a dropped marker has no payload"
-        if not res.extents:
-            return list(data.reshape(len(res.tile_ids), -1, *data.shape[1:]))
-        offsets = np.cumsum([0] + [nbytes for nbytes, _ in res.extents])
-        return [
-            PackedTensor(PackedStream.from_buffer(data[start : start + nbytes]), raw_bits=raw_bits)
-            for start, (nbytes, raw_bits) in zip(offsets, res.extents)
-        ]
+        if data.dtype != np.uint8:
+            return data
+        stream = PackedStream.from_buffer(data)
+        return PackedTensor(stream, raw_bits=32 * stream.num_elements)

@@ -224,10 +224,12 @@ class TestWorkerCoalescing:
 
     @staticmethod
     def _payloads(res):
-        """Split one inline batch result the way the Central node does."""
+        """Split one inline (raw) batch result into its tiles' rows, the way
+        the Central node's merge does."""
         from repro.runtime.transport import CentralEndpoint
 
-        return CentralEndpoint(None, 1).materialize(res)
+        block = CentralEndpoint(None, 1).materialize(res)
+        return np.split(block, len(res.tile_ids))
 
     def test_coalesced_batch_matches_per_tile_reference(self):
         """One stacked forward over the batch == per-tile forwards, and the
@@ -242,6 +244,24 @@ class TestWorkerCoalescing:
             for out, tile in zip(self._payloads(res), tiles):
                 np.testing.assert_array_equal(out, sep(Tensor(tile)).data)
 
+    def test_batch_is_one_codec_stream(self):
+        """With the pipeline on, the batch ships as one packed stream of the
+        stacked output, and its rows decode to each tile's own round trip."""
+        from repro.runtime.transport import CentralEndpoint
+
+        model, pipe = small_model(), CompressionPipeline(bits=4)
+        tiles = self._tiles()
+        (res,) = self._run_worker(model, [self._batch(0, range(4), tiles)], pipeline=pipe)
+        packed = CentralEndpoint(None, 1).materialize(res)
+        sep = model.separable_part()
+        sep.eval()
+        with nn.no_grad():
+            outs = [sep(Tensor(tile)).data for tile in tiles]
+        assert packed.shape == np.concatenate(outs).shape
+        assert packed.raw_bits == 32 * np.concatenate(outs).size
+        for got, out in zip(np.split(pipe.decompress(packed), 4), outs):
+            np.testing.assert_array_equal(got, pipe.apply(out))
+
     def test_coalesced_spans_tile_the_batch_envelope(self):
         """Telescoped per-tile spans are contiguous, sum to the measured
         wall envelope, and the emulated delay scales with the batch size."""
@@ -254,7 +274,7 @@ class TestWorkerCoalescing:
             assert busy > compress >= 0
         for (t0, busy, _), (t1, _, _) in zip(spans, spans[1:]):
             assert t1 == t0 + busy  # exact: each span starts where the last ended
-        envelope = res.forward_seconds + sum(res.compress_seconds)
+        envelope = res.forward_seconds + res.compress_seconds
         assert spans[0][0] == res.t_start
         assert sum(busy for _, busy, _ in spans) == pytest.approx(envelope, abs=1e-9)
         assert envelope >= 4 * delay  # one sleep covering the whole batch
@@ -332,7 +352,7 @@ class TestWorkerCoalescing:
         cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
         rq = queue.Queue()
         garbage = np.zeros(64, dtype=np.uint8)
-        rq.put(BatchResult(0, (0, 1), garbage, worker=0, extents=((32, 0), (32, 0))))
+        rq.put(BatchResult(0, (0, 1), garbage, worker=0))
         cluster._result_queues.append(rq)
         assert cluster._sweep_results({}) is True
         assert tel.metrics.counter_total("adcnn_result_corrupt_total") == 2.0

@@ -95,9 +95,9 @@ class TestHotLoopFixes:
         endpoint = WorkerEndpoint(sem)
         endpoint.accept(ArenaGrant(("bogus-slot",), 1 << 20))
         t0 = time.perf_counter()
-        out, extents, ring_fallback = endpoint.stage_result(block)
+        out, ring_fallback = endpoint.stage_result(block)
         elapsed = time.perf_counter() - t0
-        assert out is block and extents == ()  # shipped inline, not as a ShmRef
+        assert out is block  # shipped inline, not as a ShmRef
         assert ring_fallback  # reported so telemetry can count it
         assert elapsed < 0.1, f"ring-full probe blocked for {elapsed:.3f}s"
 
@@ -113,7 +113,7 @@ class TestHotLoopFixes:
         sem = mp.get_context("fork").Semaphore(1)
         endpoint = WorkerEndpoint(sem)
         endpoint.accept(ArenaGrant(("bogus-slot",), 16))  # slot smaller than the batch
-        out, _, ring_fallback = endpoint.stage_result(block)
+        out, ring_fallback = endpoint.stage_result(block)
         assert out is block
         assert not ring_fallback
         assert sem.acquire(block=False)  # the permit was never taken

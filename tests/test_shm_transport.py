@@ -20,7 +20,7 @@ import pytest
 
 from repro.compression import CompressionPipeline
 from repro.models import vgg_mini
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, no_grad, try_compile
 from repro.partition import TileGrid
 from repro.partition.geometry import split_array
 from repro.runtime import ArenaGrant, BatchResult, ProcessCluster, ProcessClusterConfig, ShmRef, SlotArena
@@ -182,49 +182,36 @@ class TestEndpoints:
             worker, grant = granted_worker(central, 1, 4096)
             assert not central.needs_ring(1)
             assert isinstance(grant, ArenaGrant) and set(grant.slot_names) <= shm_segments()
-            pipe = CompressionPipeline(bits=4)
-            outs = [RNG.standard_normal((1, 4, 6, 6)).astype(np.float32) for _ in range(3)]
+            block = RNG.standard_normal((3, 4, 6, 6)).astype(np.float32)
+            packed = CompressionPipeline(bits=4).compress_packed(block)
             try:
-                for results in ([pipe.compress_packed(o) for o in outs], np.concatenate(outs)):
+                for result in (packed.packed.buffer, block):
                     # More rounds than slots: every materialize hands the permit back.
                     for _ in range(RESULT_RING_SLOTS + 2):
-                        ref, extents, ring_fallback = worker.stage_result(results)
+                        ref, ring_fallback = worker.stage_result(result)
                         assert isinstance(ref, ShmRef) and not ring_fallback
-                        got = central.materialize(
-                            BatchResult(0, (0, 1, 2), ref, worker=1, extents=extents)
-                        )
-                        assert len(got) == 3
-                        for tile, want, out in zip(got, results, outs):
-                            if isinstance(results, np.ndarray):
-                                np.testing.assert_array_equal(tile, out)
-                            else:
-                                assert tile.raw_bits == want.raw_bits
-                                np.testing.assert_array_equal(tile.packed.buffer, want.packed.buffer)
+                        got = central.materialize(BatchResult(0, (0, 1, 2), ref, worker=1))
+                        if result is block:
+                            np.testing.assert_array_equal(got, block)
+                        else:
+                            assert got.raw_bits == packed.raw_bits and got.shape == block.shape
+                            np.testing.assert_array_equal(got.packed.buffer, packed.packed.buffer)
             finally:
                 worker.close()
 
-    def test_batch_slot_holds_each_tiles_packed_bytes_verbatim(self):
-        """Inside a batch slot every tile's bytes are exactly what
-        ``compress_packed`` produces for that tile alone (wire format v1)."""
+    def test_batch_slot_holds_the_batch_stream_verbatim(self):
+        """A batch slot holds exactly the bytes ``compress_packed`` produces
+        for the batch's stacked block (one wire-format-v1 stream)."""
         with central_endpoint() as central:
             worker, _ = granted_worker(central, 0, 4096)
-            pipe = CompressionPipeline(bits=4)
-            packed = [
-                pipe.compress_packed(RNG.standard_normal((1, 4, 6, 6)).astype(np.float32))
-                for _ in range(3)
-            ]
+            block = RNG.standard_normal((3, 4, 6, 6)).astype(np.float32)
+            packed = CompressionPipeline(bits=4).compress_packed(block)
             cache = {}
             try:
-                ref, extents, _ = worker.stage_result(packed)
+                ref, _ = worker.stage_result(packed.packed.buffer)
                 slot_bytes = attach_array(cache, ref)
-                assert extents == tuple((p.packed.buffer.nbytes, p.raw_bits) for p in packed)
-                assert slot_bytes.nbytes == sum(n for n, _ in extents)
-                offset = 0
-                for p, (nbytes, _) in zip(packed, extents):
-                    np.testing.assert_array_equal(
-                        slot_bytes[offset : offset + nbytes], p.packed.buffer
-                    )
-                    offset += nbytes
+                assert slot_bytes.dtype == np.uint8
+                np.testing.assert_array_equal(slot_bytes, packed.packed.buffer)
             finally:
                 close_attachments(cache)
                 worker.close()
@@ -232,14 +219,14 @@ class TestEndpoints:
     def test_corrupt_result_bytes_raise_after_returning_the_permit(self):
         with central_endpoint() as central:
             worker, _ = granted_worker(central, 0, 4096)
-            packed = [CompressionPipeline(bits=4).compress_packed(np.ones((1, 2, 3, 3), np.float32))]
+            stream = CompressionPipeline(bits=4).compress_packed(np.ones((1, 2, 3, 3), np.float32))
+            truncated = stream.packed.buffer[:-1]  # the header promises one more byte
             try:
                 for _ in range(RESULT_RING_SLOTS + 1):  # a leaked permit would exhaust the ring
-                    ref, extents, ring_fallback = worker.stage_result(packed)
+                    ref, ring_fallback = worker.stage_result(truncated)
                     assert isinstance(ref, ShmRef) and not ring_fallback
-                    bad = ((extents[0][0] - 1, extents[0][1]),)
                     with pytest.raises(ValueError):
-                        central.materialize(BatchResult(0, (0,), ref, worker=0, extents=bad))
+                        central.materialize(BatchResult(0, (0,), ref, worker=0))
             finally:
                 worker.close()
 
@@ -282,9 +269,9 @@ class TestEndpoints:
         central.size_task_arena([tile], window=2)
         task = central.task(0, (0,), [tile])
         worker = central.worker_endpoint(0)
-        payload, extents, ring_fallback = worker.stage_result(tile)
+        payload, ring_fallback = worker.stage_result(tile)
         assert central.label == "pickle" and not central.needs_ring(0)
-        assert task.slot is None and payload is tile and extents == () and not ring_fallback
+        assert task.slot is None and payload is tile and not ring_fallback
         assert central.task_slots_free == (0, 0) and shm_segments() == before
         central.close()
 
@@ -409,6 +396,41 @@ class TestTransportEquivalence:
         assert total < raw  # compressed, but real nonzero bytes
         assert res.zero_filled_tiles == []
 
+    def test_down_wire_bytes_are_the_batch_streams(self):
+        """On the steady_compute shape (96x96 / 4x4 / 2 workers) each image's
+        down-wire bytes are exactly its batch buffers' lengths, and one
+        stream per batch saves at least one 40-byte header per extra tile
+        against encoding every tile on its own."""
+        model = vgg_mini(num_classes=3, input_size=96, base_width=12, separable_prefix=4).eval()
+        grid, pipe, tel = TileGrid(4, 4), CompressionPipeline(bits=4), TelemetryRecorder()
+        fused = try_compile(model.separable_part())
+        header = 24 + 4 * 4  # fixed header + a 4-D shape
+        with ProcessCluster(
+            model, grid, pipe, ProcessClusterConfig(num_workers=2), telemetry=tel
+        ) as cluster:
+            streams = []
+            materialize = cluster._endpoint.materialize
+
+            def spy(res):
+                payload = materialize(res)
+                streams.append(payload)
+                return payload
+
+            cluster._endpoint.materialize = spy
+            for _ in range(3):
+                x = RNG.normal(size=(1, 3, 96, 96)).astype(np.float32)
+                streams.clear()
+                before = tel.metrics.counter_value("adcnn_bits_wire_total", direction="down")
+                outcome = cluster.infer(x)
+                wire_bytes = (tel.metrics.counter_value("adcnn_bits_wire_total", direction="down")
+                              - before) / 8
+                tiles = split_array(x, grid)
+                per_tile = sum(pipe.compress_packed(fused(t)).packed.nbytes for t in tiles)
+                assert outcome.zero_filled_tiles == []
+                assert len(streams) == np.count_nonzero(outcome.allocation)  # one per batch
+                assert wire_bytes == sum(p.packed.nbytes for p in streams)
+                assert wire_bytes <= per_tile - (len(tiles) - len(streams)) * header
+
 
 @needs_shm
 class TestFaultIntegration:
@@ -465,8 +487,9 @@ class TestFaultIntegration:
             assert len(after - before) == RESULT_RING_SLOTS  # fresh ring granted
 
     def test_all_workers_dead_still_degrades_locally(self):
-        """Central-local fallback produces the one wire format too: packed
-        payloads, decoded by the same merge, counted as measured wire bits."""
+        """Central-local fallback produces the one wire format too: one
+        packed stream for its stacked batch, decoded by the same merge,
+        counted as measured wire bits."""
         tel = TelemetryRecorder()
         pipe = CompressionPipeline(bits=4)
         model, x = small_model(), images(1)[0]
@@ -481,11 +504,9 @@ class TestFaultIntegration:
         assert out.locally_computed_tiles == [0, 1, 2, 3]
         np.testing.assert_array_equal(out.output, healthy.output)
         separable = model.separable_part()
-        with no_grad():
-            expected = sum(
-                pipe.compress_packed(separable(Tensor(t)).data).wire_bits
-                for t in split_array(x, TileGrid(2, 2))
-            )
+        with no_grad():  # the controller sends all four tiles as one local batch
+            stacked = separable(Tensor(np.concatenate(split_array(x, TileGrid(2, 2))))).data
+        expected = pipe.compress_packed(stacked).wire_bits
         assert tel.metrics.counter_value("adcnn_bits_wire_total", direction="down") == expected
 
 

@@ -8,9 +8,11 @@ all-zero, and runs split at the ``2**run_bits`` counter cap.  A golden test
 pins the byte layout itself.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rle_oracle import rle_decode, rle_encode
@@ -22,6 +24,7 @@ from repro.compression import (
     max_packed_nbytes,
     pack_levels,
     unpack,
+    wire,
 )
 
 RNG = np.random.default_rng(31)
@@ -153,6 +156,88 @@ class TestBitAccounting:
             "b160" "5c0f40" "5f1937"  # flags, run counters, literal nibbles
         )
         assert np.array_equal(unpack(packed.buffer.tobytes()), levels)
+
+
+def bit_matrix_path():
+    """Force the generic bit-matrix packer at every width (the reference the
+    byte-wide 4/8-bit paths must match byte for byte)."""
+    return mock.patch.multiple(
+        wire, _pack_bits=wire._pack_bits_matrix, _unpack_bits=wire._unpack_bits_matrix
+    )
+
+
+#: A level array as segments: a zero run (its length, edge lengths around the
+#: 256 counter cap favoured) or a stretch of non-zero 4-bit literals.
+SEGMENTS = st.lists(
+    st.one_of(
+        st.sampled_from([255, 256, 257, 513]) | st.integers(1, 600),
+        st.lists(st.integers(1, 15), min_size=1, max_size=9),
+    ),
+    max_size=12,
+)
+
+
+def levels_from(segments):
+    parts = [np.zeros(s, dtype=np.uint8) if isinstance(s, int) else np.array(s, dtype=np.uint8)
+             for s in segments]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+
+
+class TestByteWidePaths:
+    """The 4-bit literal and 8-bit run-counter paths, selected by width, are
+    byte-identical to the bit-matrix path and agree with the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(segments=SEGMENTS)
+    @example(segments=[])                        # empty
+    @example(segments=[513])                     # all zero, split at the cap
+    @example(segments=[[3]])                     # one literal: odd count
+    @example(segments=[[1, 2, 3], 255, [15]])    # odd literal count
+    @example(segments=[256, [7, 7], 257])
+    def test_matches_bit_matrix_and_oracle(self, segments):
+        levels = levels_from(segments)
+        fast = pack_levels(levels, value_bits=4, run_bits=8)
+        with bit_matrix_path():
+            generic = pack_levels(levels, value_bits=4, run_bits=8)
+            generic_levels = unpack(generic)
+        assert fast.buffer.tobytes() == generic.buffer.tobytes()
+        stream = rle_encode(levels, value_bits=4, run_bits=8)
+        assert fast.payload_bits == stream.encoded_bits
+        decoded = unpack(fast)
+        assert decoded.dtype == np.uint8
+        assert np.array_equal(decoded, generic_levels)
+        assert np.array_equal(decoded, rle_decode(stream))
+
+    def test_unpack_widens_to_uint64(self):
+        """A full-cap run stores counter 255; the caller's ``+ 1`` must give
+        256, which a ``uint8`` result would wrap to 0."""
+        for width in (4, 8):
+            values = np.array([2**width - 1] * 3, dtype=np.int64)
+            got = wire._unpack_bits(wire._pack_bits(values, width), 3, width)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got + 1, values + 1)
+
+
+class TestBatchStream:
+    """One stream over a batch's stacked tiles decodes, row for row, to
+    exactly what per-tile streams decode to."""
+
+    def test_rows_equal_per_tile_decode(self):
+        pipe = CompressionPipeline(bits=4)
+        tiles = [np.maximum(RNG.normal(loc=-0.5, size=(1, 4, 6, 6)), 0).astype(np.float32)
+                 for _ in range(5)]
+        # Zero runs that cross tile boundaries, one of them past the 256 cap.
+        tiles[1][0, 2:] = 0
+        tiles[2][0, :3] = 0
+        tiles[3][0] = 0
+        batch = pipe.compress_packed(np.concatenate(tiles))
+        rows = np.split(pipe.decompress(batch), len(tiles))
+        per_tile = [pipe.compress_packed(t) for t in tiles]
+        for row, packed in zip(rows, per_tile):
+            assert row.tobytes() == pipe.decompress(packed).tobytes()
+        assert batch.raw_bits == sum(p.raw_bits for p in per_tile)
+        assert batch.packed.n_zero_tokens < sum(p.packed.n_zero_tokens for p in per_tile)
+        assert batch.packed.nbytes <= sum(p.packed.nbytes for p in per_tile) - 4 * 40
 
 
 class TestValidation:
