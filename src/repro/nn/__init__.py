@@ -4,7 +4,7 @@ Provides the autograd tensor, layers, optimizers, and losses that the whole
 ADCNN reproduction is built on (PyTorch replacement; see DESIGN.md §2).
 """
 
-from . import blas, functional, fused, init, losses, optim, serialization, utils
+from . import blas, functional, fused, init, losses, optim, serialization
 from .fused import FusedSeparable, fused_clip_quantize, try_compile
 from .modules import (
     AvgPool2d,
@@ -13,7 +13,6 @@ from .modules import (
     ClippedReLU,
     Conv1d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     GlobalMaxPool1d,
@@ -27,7 +26,6 @@ from .modules import (
     QuantizeSTE,
     ReLU,
     Sequential,
-    Softmax,
 )
 from .tensor import Parameter, Tensor, no_grad
 
@@ -42,7 +40,6 @@ __all__ = [
     "losses",
     "optim",
     "serialization",
-    "utils",
     "Tensor",
     "Parameter",
     "no_grad",
@@ -55,7 +52,6 @@ __all__ = [
     "BatchNorm1d",
     "ReLU",
     "LeakyReLU",
-    "Softmax",
     "ClippedReLU",
     "QuantizeSTE",
     "MaxPool2d",
@@ -66,5 +62,4 @@ __all__ = [
     "NearestUpsample2d",
     "Linear",
     "Flatten",
-    "Dropout",
 ]

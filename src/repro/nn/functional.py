@@ -48,7 +48,6 @@ __all__ = [
     "nearest_upsample2d",
     "batch_norm",
     "linear",
-    "dropout",
     "pad2d",
 ]
 
@@ -374,12 +373,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity at inference time."""
-    if not training or p <= 0.0:
-        return x
-    rng = rng or np.random.default_rng()
-    mask = Tensor((rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p))
-    return x * mask

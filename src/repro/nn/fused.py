@@ -1,12 +1,13 @@
-"""Fused no-grad inference kernels — the worker hot path (DESIGN.md §5i).
+"""Fused no-grad inference kernels — the one inference definition (DESIGN.md §5i).
 
-The autograd module path pays, per layer per tile, the cost of
+The autograd module path pays, per layer per call, the cost of
 :meth:`Tensor._make` graph construction plus one temporary array per
-elementwise op.  Inference workers never backpropagate, so this module
-compiles a separable stack once into a flat chain of raw-ndarray *steps*
-(conv+bias, BN affine, activation, pool) that run with in-place ufuncs and
-no Tensor objects at all.  :func:`fused_clip_quantize` is the §4 analogue:
-clip → shift → quantize in one pass over the activation map.
+elementwise op.  Inference never backpropagates, so this module compiles a
+module stack once into a flat chain of raw-ndarray *steps* that run with
+in-place ufuncs and no Tensor objects at all.  Every layer class has a
+kernel, so every model family's separable *and* rest stacks compile; the
+Tensor module path is for training.  :func:`fused_clip_quantize` is the §4
+analogue: clip → shift → quantize in one pass over the activation map.
 
 Bit-identity contract
 ---------------------
@@ -17,19 +18,20 @@ convolution and the max-pool are the module path's own kernels
 :func:`~repro.nn.functional._max_pool2d_raw`).
 ``FusedSeparable(stack)(x)`` therefore returns bitwise the same array as
 ``stack(Tensor(x)).data`` in eval mode — a property the conformance tests
-assert, and the reason workers may switch freely between the two paths.
+assert for every layer class and model family.
 
 Composite blocks opt in by implementing ``fused_steps(compile_module)``
-(see :class:`repro.models.blocks.ResidualBlock`); unknown modules make
-:func:`try_compile` return ``None`` and callers fall back to the module
-path.  BN affine coefficients are recomputed on every call, so a fused
+(see :class:`repro.models.blocks.ResidualBlock`); a module with neither a
+kernel nor that hook raises :class:`UnsupportedModule`, a programming
+error.  BN affine coefficients are recomputed on every call, so a fused
 stack stays correct across weight updates; training-mode stacks refuse to
 run (batch statistics need the per-tile module path).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,11 +41,16 @@ from .modules import (
     ClippedReLU,
     Conv1d,
     Conv2d,
+    Flatten,
+    GlobalAvgPool2d,
+    GlobalMaxPool1d,
     Identity,
     LeakyReLU,
+    Linear,
     MaxPool1d,
     MaxPool2d,
     Module,
+    NearestUpsample2d,
     QuantizeSTE,
     ReLU,
     Sequential,
@@ -53,13 +60,15 @@ from .modules import (
 __all__ = ["FusedSeparable", "try_compile", "fused_clip_quantize", "UnsupportedModule"]
 
 #: One compiled kernel: ``(fn, writes_in_place)``.  ``fn`` maps an ndarray to
-#: an ndarray; when ``writes_in_place`` is true it mutates its argument, so
-#: the runner copies first unless it already owns the buffer.
+#: an ndarray; when ``writes_in_place`` is true it mutates (or returns a view
+#: of) its argument, so the runner copies first unless it already owns the
+#: buffer.
 Step = tuple[Callable[[np.ndarray], np.ndarray], bool]
 
 
 class UnsupportedModule(TypeError):
-    """A module the fused compiler has no kernel for."""
+    """A module the fused compiler has no kernel for (a programming error:
+    every layer class has one)."""
 
 
 def run_steps(steps: tuple[Step, ...] | list[Step], x: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -108,7 +117,8 @@ def _conv1d_steps(m: Conv1d) -> list[Step]:
 def _bn_steps(m: _BatchNorm) -> list[Step]:
     def run(x: np.ndarray) -> np.ndarray:
         # Recomputed per call (not baked at compile time) so the fused stack
-        # tracks weight updates; same expressions as functional.batch_norm.
+        # tracks weight updates with no recompile step (DESIGN.md §5i); same
+        # expressions as functional.batch_norm.
         a, b = m.fused_inference_params()
         shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1, 1) if x.ndim == 3 else (1, -1)
         np.multiply(x, a.reshape(shape), out=x)
@@ -184,39 +194,62 @@ def _avg_pool2d_steps(m: AvgPool2d) -> list[Step]:
     return [(run, False)]
 
 
+def _global_max_pool1d(x: np.ndarray) -> np.ndarray:
+    idx = x.argmax(axis=2)
+    return np.take_along_axis(x, idx[..., None], axis=2)[..., 0]
+
+
+def _nearest_upsample2d_steps(m: NearestUpsample2d) -> list[Step]:
+    s = m.scale
+    return [] if s == 1 else [(lambda x: np.repeat(np.repeat(x, s, axis=2), s, axis=3), False)]
+
+
+def _linear_steps(m: Linear) -> list[Step]:
+    def run(x: np.ndarray) -> np.ndarray:
+        out = x @ m.weight.data.transpose((1, 0))
+        if m.bias is not None:
+            out += m.bias.data
+        return out
+
+    return [(run, False)]
+
+
+#: Kernel per layer class, looked up along the module's MRO (so
+#: ``BatchNorm1d``/``BatchNorm2d`` find ``_BatchNorm``).  Read-only so
+#: fork-inherited copies cannot diverge per worker.  ``Flatten``'s reshape
+#: is a view of its argument, so it is flagged like an in-place step: the
+#: runner then owns the buffer before a later in-place step writes through.
+_KERNELS: Mapping[type, Callable[..., list[Step]]] = MappingProxyType({
+    Sequential: lambda m: [step for child in m for step in compile_module(child)],
+    Identity: lambda m: [],
+    Conv2d: _conv2d_steps,
+    Conv1d: _conv1d_steps,
+    _BatchNorm: _bn_steps,
+    ReLU: _relu_steps,
+    LeakyReLU: _leaky_relu_steps,
+    ClippedReLU: _clipped_relu_steps,
+    QuantizeSTE: _quantize_ste_steps,
+    MaxPool2d: _max_pool2d_steps,
+    MaxPool1d: _max_pool1d_steps,
+    AvgPool2d: _avg_pool2d_steps,
+    GlobalAvgPool2d: lambda m: [(lambda x: x.mean(axis=(2, 3)), False)],
+    GlobalMaxPool1d: lambda m: [(_global_max_pool1d, False)],
+    NearestUpsample2d: _nearest_upsample2d_steps,
+    Flatten: lambda m: [(lambda x: x.reshape(*x.shape[: m.start_dim], -1), True)],
+    Linear: _linear_steps,
+})
+
+
 def compile_module(m: Module) -> list[Step]:
     """Compile one module (recursively) into its fused step chain.
 
-    Raises :class:`UnsupportedModule` for anything without a kernel — use
-    :func:`try_compile` for the fall-back-to-module-path behaviour.
+    Raises :class:`UnsupportedModule` for a module with neither a kernel
+    nor a ``fused_steps`` hook.
     """
-    if isinstance(m, Sequential):
-        steps: list[Step] = []
-        for child in m:
-            steps.extend(compile_module(child))
-        return steps
-    if isinstance(m, Identity):
-        return []
-    if isinstance(m, Conv2d):
-        return _conv2d_steps(m)
-    if isinstance(m, Conv1d):
-        return _conv1d_steps(m)
-    if isinstance(m, _BatchNorm):
-        return _bn_steps(m)
-    if isinstance(m, ReLU):
-        return _relu_steps(m)
-    if isinstance(m, LeakyReLU):
-        return _leaky_relu_steps(m)
-    if isinstance(m, ClippedReLU):
-        return _clipped_relu_steps(m)
-    if isinstance(m, QuantizeSTE):
-        return _quantize_ste_steps(m)
-    if isinstance(m, MaxPool2d):
-        return _max_pool2d_steps(m)
-    if isinstance(m, MaxPool1d):
-        return _max_pool1d_steps(m)
-    if isinstance(m, AvgPool2d):
-        return _avg_pool2d_steps(m)
+    for cls in type(m).__mro__:
+        kernel = _KERNELS.get(cls)
+        if kernel is not None:
+            return kernel(m)
     hook = getattr(m, "fused_steps", None)
     if callable(hook):
         return list(hook(compile_module))
@@ -224,7 +257,7 @@ def compile_module(m: Module) -> list[Step]:
 
 
 class FusedSeparable:
-    """A separable stack compiled to a raw-ndarray inference chain.
+    """A module stack compiled to a raw-ndarray inference chain.
 
     Callable like the stack itself but ndarray → ndarray: no Tensor graph,
     in-place elementwise ops, bitwise-identical output to the module path
@@ -243,7 +276,7 @@ class FusedSeparable:
 
     @property
     def stack(self) -> Module:
-        """The source module stack (the fallback path and weight owner)."""
+        """The source module stack (the training path and weight owner)."""
         return self._stack
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -260,14 +293,13 @@ class FusedSeparable:
         return run_steps(self._steps, arr, owned=False)
 
 
-def try_compile(stack: Module) -> FusedSeparable | None:
-    """Compile ``stack`` for fused inference, or ``None`` if any module
-    lacks a kernel (callers then keep the Tensor module path)."""
-    try:
-        steps = compile_module(stack)
-    except UnsupportedModule:
-        return None
-    return FusedSeparable(stack, steps)
+def try_compile(stack: Module) -> FusedSeparable:
+    """Compile ``stack`` for fused inference.
+
+    Total over every layer class and model family; raises
+    :class:`UnsupportedModule` only for a module without a kernel.
+    """
+    return FusedSeparable(stack, compile_module(stack))
 
 
 def fused_clip_quantize(

@@ -27,7 +27,6 @@ __all__ = [
     "BatchNorm1d",
     "ReLU",
     "LeakyReLU",
-    "Softmax",
     "ClippedReLU",
     "QuantizeSTE",
     "MaxPool2d",
@@ -38,7 +37,6 @@ __all__ = [
     "NearestUpsample2d",
     "Linear",
     "Flatten",
-    "Dropout",
 ]
 
 
@@ -282,19 +280,6 @@ class LeakyReLU(Module):
         return x.leaky_relu(self.negative_slope)
 
 
-class Softmax(Module):
-    """Softmax along ``axis`` (stable; for inference-time probabilities)."""
-
-    def __init__(self, axis: int = 1) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        shift = Tensor(x.data.max(axis=self.axis, keepdims=True))
-        e = (x - shift).exp()
-        return e / e.sum(axis=self.axis, keepdims=True)
-
-
 class ClippedReLU(Module):
     """Paper §4.1 — ReLU with adjustable lower bound ``a`` and upper ``b``.
 
@@ -387,6 +372,8 @@ class GlobalMaxPool1d(Module):
 class NearestUpsample2d(Module):
     def __init__(self, scale: int) -> None:
         super().__init__()
+        if scale < 1:
+            raise ValueError("scale must be >= 1")
         self.scale = scale
 
     def forward(self, x: Tensor) -> Tensor:
@@ -413,15 +400,3 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.flatten_from(self.start_dim)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.5, seed: int = 0) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout p must be in [0, 1)")
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self._rng)

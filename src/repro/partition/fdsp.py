@@ -27,7 +27,7 @@ import numpy as np
 import repro.nn as nn
 from repro.models.blocks import ConvBlock1d, LayerBlock, PartitionableCNN, ResidualBlock
 from repro.nn import Tensor
-from repro.nn.modules import Dropout, _BatchNorm
+from repro.nn.modules import _BatchNorm
 
 from .geometry import (
     SegmentGrid,
@@ -130,11 +130,8 @@ def _fdsp_forward_looped(
 
 def _needs_looped_path(separable: nn.Module) -> bool:
     """True when stacking tiles would change semantics: training-mode BN
-    (batch statistics + running-stat updates are per-forward) or
-    training-mode dropout (one RNG draw per forward)."""
-    return any(
-        isinstance(m, (_BatchNorm, Dropout)) and m.training for m in separable.modules()
-    )
+    (batch statistics + running-stat updates are per-forward)."""
+    return any(isinstance(m, _BatchNorm) and m.training for m in separable.modules())
 
 
 def fdsp_forward(
@@ -154,7 +151,7 @@ def fdsp_forward(
     per-tile loop because convolution dispatches one GEMM per sample
     (:mod:`repro.nn.functional`).  The loop is kept as the sanctioned
     reference (``batched=False``) and is selected automatically whenever a
-    training-mode BN/dropout would make stacking change semantics, so the
+    training-mode BN would make stacking change semantics, so the
     retraining graph is unaffected.
     """
     if not isinstance(x, Tensor):

@@ -53,7 +53,7 @@ import numpy as np
 import repro.nn as nn
 from repro.compression import CompressionPipeline, PackedTensor, max_packed_nbytes
 from repro.models.blocks import PartitionableCNN
-from repro.nn import Tensor, blas
+from repro.nn import blas
 from repro.partition.geometry import (
     SegmentGrid,
     TileGrid,
@@ -147,10 +147,10 @@ def _worker_loop(
     answered by exactly one :class:`BatchResult`.  Its input block is read
     from, and its results staged through, the worker's transport
     ``endpoint`` (:mod:`repro.runtime.transport`); the block runs as one
-    stacked forward (identically-shaped tiles) through the fused no-grad
-    kernels when the stack compiles, with the emulated per-tile delay scaled
-    by the batch size, and the stacked output is then encoded as one codec
-    stream (pipeline on) or shipped raw (pipeline off).
+    stacked forward (identically-shaped tiles) through the compiled no-grad
+    chain, with the emulated per-tile delay scaled by the batch size, and
+    the stacked output is then encoded as one codec stream (pipeline on) or
+    shipped raw (pipeline off).
 
     A batch whose block cannot be read (its slot was unlinked under us in a
     shutdown race) produces a ``dropped`` marker instead of vanishing
@@ -181,11 +181,7 @@ def _worker_loop(
                 # Emulated slow device (cpulimit stand-in), one sleep for
                 # the whole batch: k tiles cost k * delay.
                 time.sleep(delay_per_tile * k)
-            if fused is not None:
-                out_block = fused(block)
-            else:
-                with nn.no_grad():
-                    out_block = separable(Tensor(block)).data
+            out_block = fused(block)
             t_forward = time.perf_counter()
             result = out_block if pipeline is None else pipeline.compress_packed(out_block).packed.buffer
             payload, ring_fallback = endpoint.stage_result(result)
@@ -285,8 +281,9 @@ class ProcessCluster:
         #: Telemetry sink (``repro.telemetry.TelemetryRecorder``); the
         #: default ``NullRecorder`` keeps instrumentation zero-cost.
         self.telemetry = telemetry if telemetry is not None else NullRecorder()
-        self._rest = model.rest_part()
-        self._rest.eval()
+        # Both halves compiled once: the one inference definition (§5i).
+        self._fused = nn.try_compile(model.separable_part().eval())
+        self._rest = nn.try_compile(model.rest_part().eval())
         #: The shared decision machine.  Built once and reused across every
         #: ``infer_stream`` call so the Algorithm-2 ``s_k`` statistics carry
         #: over between streams (the historical behavior of this backend).
@@ -307,8 +304,6 @@ class ProcessCluster:
         self._task_queues: list[mp.Queue] = []
         self._result_queues: list[mp.Queue] = []
         self._procs: list[mp.Process] = []
-        self._separable: nn.Sequential | None = None
-        self._fused: nn.FusedSeparable | None = None
         self._delays: tuple[float, ...] = ()
         self._image_counter = 0
         self._known_dead: set[int] = set()
@@ -358,9 +353,6 @@ class ProcessCluster:
         # never builds a pool.  One-way: the process that starts a cluster
         # is a Central node from then on.
         blas.pin_single_thread()
-        self._separable = self.model.separable_part()
-        self._separable.eval()
-        self._fused = nn.try_compile(self._separable)
         self._delays = self.config.delay_per_tile or (0.0,) * self.config.num_workers
         self._known_dead = set()
         self._restart_counts = [0] * self.config.num_workers
@@ -383,7 +375,7 @@ class ProcessCluster:
             target=_worker_loop,
             args=(
                 worker_id,
-                self._separable,
+                self._fused.stack,
                 self.pipeline,
                 self._task_queues[worker_id],
                 self._result_queues[worker_id],
@@ -561,11 +553,7 @@ class ProcessCluster:
         """
         ids = list(tile_ids)
         block = np.concatenate([st["tiles"][tid] for tid in ids])
-        if self._fused is not None:
-            out = self._fused(block)
-        else:
-            with nn.no_grad():
-                out = self._separable(Tensor(block)).data
+        out = self._fused(block)
         st["batches"].append(self.pipeline.compress_packed(out) if self.pipeline is not None else out)
         batch = len(st["batches"]) - 1
         for row, tid in enumerate(ids):
@@ -684,8 +672,7 @@ class ProcessCluster:
         out_tiles, missing = self._materialize_tiles(st["tiles"], st["batches"], st["results"])
         feature_map = reassemble_array(out_tiles, self.grid)
         t_rest = time.perf_counter()
-        with nn.no_grad():
-            output = self._rest(Tensor(feature_map)).data
+        output = self._rest(feature_map)
         t_done = time.perf_counter()
         if st["local"]:
             tel.count("adcnn_tiles_local_total", len(st["local"]))

@@ -228,13 +228,3 @@ class TestMisc:
         out.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones((1, 1, 2, 2)))
 
-    def test_dropout_eval_is_identity(self):
-        x = Tensor(RNG.normal(size=(10,)))
-        out = F.dropout(x, 0.5, training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_dropout_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((100_000,)))
-        out = F.dropout(x, 0.3, training=True, rng=rng)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)

@@ -157,9 +157,9 @@ class TestLayers:
         out = nn.GlobalAvgPool2d()(Tensor(np.ones((2, 3, 4, 4))))
         assert out.shape == (2, 3)
 
-    def test_dropout_validation(self):
+    def test_upsample_scale_validation(self):
         with pytest.raises(ValueError):
-            nn.Dropout(1.0)
+            nn.NearestUpsample2d(0)
 
     def test_bn_fused_inference_params(self):
         bn = nn.BatchNorm2d(2)

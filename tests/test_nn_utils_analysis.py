@@ -1,13 +1,11 @@
-"""Tests for nn utilities (clipping, summaries), new activations, AlexNet
-spec, and simulator run analysis."""
+"""Tests for LeakyReLU, the AlexNet spec, and simulator run analysis."""
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.models import get_spec, vgg_mini
-from repro.nn import Parameter, Tensor
-from repro.nn.utils import clip_grad_norm, count_parameters, model_summary
+from repro.models import get_spec
+from repro.nn import Tensor
 from repro.simulator import render_timeline, stage_breakdown
 
 from gradcheck import check_grad
@@ -28,64 +26,6 @@ class TestLeakyReLU:
     def test_validation(self):
         with pytest.raises(ValueError):
             nn.LeakyReLU(-0.1)
-
-
-class TestSoftmax:
-    def test_sums_to_one(self):
-        out = nn.Softmax(axis=1)(Tensor(RNG.normal(size=(4, 7))))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_stable_with_large_logits(self):
-        out = nn.Softmax(axis=1)(Tensor(np.array([[1e4, 0.0]])))
-        assert np.isfinite(out.data).all()
-
-    def test_grad_flows(self):
-        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        (nn.Softmax(axis=1)(x)[0, 0] * 1.0).sum().backward()
-        assert x.grad is not None
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        p = Parameter(np.zeros(4))
-        p.grad = np.ones(4) * 0.1
-        norm = clip_grad_norm([p], max_norm=10.0)
-        assert norm == pytest.approx(0.2)
-        np.testing.assert_allclose(p.grad, 0.1)
-
-    def test_clips_above_threshold(self):
-        p = Parameter(np.zeros(4))
-        p.grad = np.ones(4) * 10.0
-        clip_grad_norm([p], max_norm=1.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-5)
-
-    def test_skips_none_grads(self):
-        p = Parameter(np.zeros(3))
-        assert clip_grad_norm([p], max_norm=1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0.0)
-
-
-class TestModelSummary:
-    def test_counts_and_layers(self):
-        model = vgg_mini(num_classes=3, input_size=24, base_width=4)
-        text = model_summary(model)
-        assert "Conv2d" in text and "TOTAL" in text
-        assert f"{count_parameters(model):,}" in text
-
-    def test_output_shapes_recorded(self):
-        model = vgg_mini(num_classes=3, input_size=24, base_width=4)
-        text = model_summary(model, input_shape=(3, 24, 24))
-        assert "(1, 3)" in text  # final logits shape
-
-    def test_forward_restored_after_summary(self):
-        model = vgg_mini(num_classes=3, input_size=24, base_width=4).eval()
-        x = Tensor(RNG.normal(size=(1, 3, 24, 24)))
-        before = model(x).data
-        model_summary(model, input_shape=(3, 24, 24))
-        np.testing.assert_allclose(model(x).data, before, atol=1e-6)
 
 
 class TestAlexNetSpec:

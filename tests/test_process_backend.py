@@ -69,6 +69,31 @@ class TestProtocol:
             assert out.received_per_worker.sum() == 4
 
 
+    def test_inference_builds_no_tensor(self, monkeypatch):
+        """Workers, the local fallback and the rest layers all run compiled
+        chains: with Tensor construction made to raise before the fork, both
+        the worker path and the all-workers-dead path return the module
+        path's reference bits."""
+        model = small_model()
+        grid = TileGrid(2, 2)
+        x = RNG.normal(size=(1, 3, 24, 24)).astype(np.float32)
+        expected = FDSPModel(model, grid).eval()(Tensor(x)).data
+
+        def no_tensor(self, *args, **kwargs):
+            raise AssertionError("Tensor built on the inference path")
+
+        monkeypatch.setattr(Tensor, "__init__", no_tensor)
+        with ProcessCluster(model, grid, config=ProcessClusterConfig(num_workers=2)) as cluster:
+            remote = cluster.infer(x)
+            cluster.kill_worker(0)
+            cluster.kill_worker(1)
+            local = cluster.infer(x)
+        assert remote.locally_computed_tiles == [] and remote.received_per_worker.sum() == 4
+        assert local.locally_computed_tiles == [0, 1, 2, 3]
+        np.testing.assert_array_equal(remote.output, expected)
+        np.testing.assert_array_equal(local.output, expected)
+
+
 class TestFaultTolerance:
     def test_straggler_zero_filled(self):
         """A worker slowed past T_L loses its tiles to zero-fill, and the
