@@ -15,8 +15,10 @@ All sizes follow the paper's conventions: a *layer block* is conv+BN+ReLU
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 from types import MappingProxyType
+from typing import Any
 
 __all__ = [
     "BlockSpec",
@@ -51,26 +53,34 @@ class BlockSpec:
     is_fc: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """A full model: input shape + ordered blocks + separable prefix."""
+    """A full model: input shape + ordered blocks + separable prefix.
+
+    Immutable: :func:`get_spec` hands every caller one shared instance, and
+    :meth:`block_geometry` is computed once per instance.
+    """
 
     name: str
     input_shape: tuple[int, ...]  # (C, H, W) or (C, L)
-    blocks: list[BlockSpec] = field(default_factory=list)
+    blocks: tuple[BlockSpec, ...] = ()
     separable_prefix: int = 0
 
     @property
     def is_1d(self) -> bool:
         return len(self.input_shape) == 2
 
-    def block_geometry(self) -> list[dict]:
-        """Walk the network and return per-block geometry.
+    def block_geometry(self) -> tuple[Mapping[str, Any], ...]:
+        """Per-block geometry, walked once per spec and read-only.
 
         Each entry has: ``name``, ``ifmap`` (elements entering the block),
         ``ofmap`` (elements leaving it), ``macs`` (multiply-accumulates),
         ``weights`` (parameter count), ``in_hw``/``out_hw`` spatial size.
         """
+        return self._geometry
+
+    @cached_property
+    def _geometry(self) -> tuple[Mapping[str, Any], ...]:
         if self.is_1d:
             c, h = self.input_shape
             w = 1
@@ -78,7 +88,7 @@ class ModelSpec:
             c, h, w = self.input_shape
         out = []
         for blk in self.blocks:
-            entry = {"name": blk.name, "ifmap": c * h * w, "in_hw": (h, w)}
+            entry: dict[str, Any] = {"name": blk.name, "ifmap": c * h * w, "in_hw": (h, w)}
             macs = 0
             weights = 0
             if blk.is_fc:
@@ -114,13 +124,13 @@ class ModelSpec:
             entry["macs"] = macs
             entry["weights"] = weights
             entry["out_channels"] = c
-            out.append(entry)
-        return out
+            out.append(MappingProxyType(entry))
+        return tuple(out)
 
     def total_macs(self) -> int:
         return sum(b["macs"] for b in self.block_geometry())
 
-    def separable_geometry(self) -> list[dict]:
+    def separable_geometry(self) -> tuple[Mapping[str, Any], ...]:
         return self.block_geometry()[: self.separable_prefix]
 
     def separable_output_elements(self) -> int:
@@ -159,7 +169,7 @@ def vgg16_spec(num_classes: int = 1000) -> ModelSpec:
     ]
     blocks = _conv_blocks(cfg)
     blocks.append(BlockSpec("FC", ((4096, 0, 0), (4096, 0, 0), (num_classes, 0, 0)), is_fc=True))
-    return ModelSpec("vgg16", (3, 224, 224), blocks, separable_prefix=7)
+    return ModelSpec("vgg16", (3, 224, 224), tuple(blocks), separable_prefix=7)
 
 
 def _resnet_spec(name: str, stage_blocks: list[int], num_classes: int, separable: int) -> ModelSpec:
@@ -172,7 +182,7 @@ def _resnet_spec(name: str, stage_blocks: list[int], num_classes: int, separable
             blocks.append(BlockSpec(f"R{idx}", ((ch, 3, stride), (ch, 3, 1)), residual=True))
             idx += 1
     blocks.append(BlockSpec("FC", ((num_classes, 0, 0),), is_fc=True))
-    return ModelSpec(name, (3, 224, 224), blocks, separable_prefix=separable)
+    return ModelSpec(name, (3, 224, 224), tuple(blocks), separable_prefix=separable)
 
 
 def resnet18_spec(num_classes: int = 1000) -> ModelSpec:
@@ -201,7 +211,7 @@ def yolo_spec(num_classes: int = 20, num_anchors: int = 5) -> ModelSpec:
     blocks = _conv_blocks(cfg)
     out_ch = num_anchors * (5 + num_classes)
     blocks.append(BlockSpec("det", ((1024, 3, 1), (out_ch, 1, 1)), pool=1))
-    return ModelSpec("yolo", (3, 416, 416), blocks, separable_prefix=12)
+    return ModelSpec("yolo", (3, 416, 416), tuple(blocks), separable_prefix=12)
 
 
 def fcn_spec(num_classes: int = 21) -> ModelSpec:
@@ -211,8 +221,7 @@ def fcn_spec(num_classes: int = 21) -> ModelSpec:
     blocks separable (Figure 10 caption).
     """
     base = vgg16_spec().blocks[:-1]  # drop FC
-    blocks = list(base)
-    blocks.append(BlockSpec("score", ((4096, 7, 1), (4096, 1, 1), (num_classes, 1, 1)), pool=1))
+    blocks = (*base, BlockSpec("score", ((4096, 7, 1), (4096, 1, 1), (num_classes, 1, 1)), pool=1))
     return ModelSpec("fcn", (3, 224, 224), blocks, separable_prefix=7)
 
 
@@ -232,7 +241,7 @@ def alexnet_spec(num_classes: int = 1000) -> ModelSpec:
     ]
     blocks = _conv_blocks(cfg)
     blocks.append(BlockSpec("FC", ((4096, 0, 0), (4096, 0, 0), (num_classes, 0, 0)), is_fc=True))
-    return ModelSpec("alexnet", (3, 224, 224), blocks, separable_prefix=2)
+    return ModelSpec("alexnet", (3, 224, 224), tuple(blocks), separable_prefix=2)
 
 
 def charcnn_spec(num_classes: int = 4, vocab: int = 70, length: int = 1014) -> ModelSpec:
@@ -250,7 +259,7 @@ def charcnn_spec(num_classes: int = 4, vocab: int = 70, length: int = 1014) -> M
     ]
     blocks = _conv_blocks(cfg)
     blocks.append(BlockSpec("FC", ((1024, 0, 0), (1024, 0, 0), (num_classes, 0, 0)), is_fc=True))
-    return ModelSpec("charcnn", (vocab, length), blocks, separable_prefix=4)
+    return ModelSpec("charcnn", (vocab, length), tuple(blocks), separable_prefix=4)
 
 
 # Read-only: worker-imported module state must not be mutable (RL001).
@@ -265,8 +274,13 @@ SPEC_BUILDERS: Mapping[str, Callable[..., ModelSpec]] = MappingProxyType({
 })
 
 
+@cache
 def get_spec(name: str, **kwargs) -> ModelSpec:
-    """Look up a paper-scale model spec by name."""
+    """Look up a paper-scale model spec by name.
+
+    Memoized: specs are immutable, so equal arguments share one instance
+    (and its geometry) across every caller.
+    """
     try:
         return SPEC_BUILDERS[name](**kwargs)
     except KeyError:

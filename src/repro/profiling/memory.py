@@ -8,6 +8,9 @@ node shrinking as the cluster grows, because each node holds fewer tiles.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+from typing import Any
+
 from repro.models.specs import ModelSpec
 
 __all__ = ["conv_node_memory_bytes", "central_node_memory_bytes", "single_device_memory_bytes"]
@@ -23,7 +26,7 @@ def _rest_weight_elements(spec: ModelSpec) -> int:
     return sum(b["weights"] for b in spec.block_geometry()[spec.separable_prefix :])
 
 
-def _peak_activation_elements(spec: ModelSpec, blocks: list[dict]) -> int:
+def _peak_activation_elements(spec: ModelSpec, blocks: Sequence[Mapping[str, Any]]) -> int:
     """Peak of (ifmap + ofmap) across blocks — both live during a layer."""
     return max((b["ifmap"] + b["ofmap"] for b in blocks), default=0)
 

@@ -15,6 +15,8 @@ receiving tiles, which is how ADCNN tolerates node failure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import ArrayLike
 
@@ -120,6 +122,11 @@ def allocate_tiles(
     rng:
         Used to break ties randomly as in the paper; deterministic
         lowest-index tie-breaking when omitted.
+
+    Runs on Python scalars (the arrays are a handful of nodes long, where
+    NumPy's per-call overhead dominates): ``ratio[k]`` holds node k's
+    ratio ``(x_k + 1) / s_k`` after one more tile, or ``inf`` once it is
+    dead or full, and only the chosen node's entry changes per tile.
     """
     s = np.asarray(rates, dtype=float)
     if num_tiles < 0:
@@ -132,25 +139,32 @@ def allocate_tiles(
         if capacity.shape != s.shape:
             raise ValueError("storage_bits must match rates length")
     if tile_bits > 0:
-        max_tiles = np.floor(capacity / tile_bits)
+        max_tiles = np.floor(capacity / tile_bits).tolist()
     else:
-        max_tiles = np.full(k, np.inf)
-    alive = s > epsilon
-    x = np.zeros(k, dtype=int)
+        max_tiles = [math.inf] * k
+    rate = s.tolist()
+    eligible = [r > epsilon and 0 < m for r, m in zip(rate, max_tiles)]
+    ratio = [1 / r if ok else math.inf for r, ok in zip(rate, eligible)]
+    open_nodes = sum(eligible)
+    x = [0] * k
     for _ in range(num_tiles):
-        eligible = alive & (x < max_tiles)
-        if not eligible.any():
+        if not open_nodes:
             raise SchedulingError(
                 "no node can accept another tile (all failed or storage-exhausted)"
             )
-        ratios = np.where(eligible, (x + 1) / np.where(alive, s, 1.0), np.inf)
-        best = ratios.min()
-        candidates = np.flatnonzero(ratios <= best * (1 + 1e-12))
-        choice = int(rng.choice(candidates)) if rng is not None else int(candidates[0])
+        bound = min(ratio) * (1 + 1e-12)
+        if rng is not None:
+            candidates = [i for i, r in enumerate(ratio) if r <= bound]
+            choice = int(rng.choice(np.array(candidates)))
+        else:
+            choice = next(i for i, r in enumerate(ratio) if r <= bound)
         x[choice] += 1
-    return x
+        if eligible[choice] and x[choice] >= max_tiles[choice]:
+            eligible[choice] = False
+            open_nodes -= 1
+        ratio[choice] = (x[choice] + 1) / rate[choice] if eligible[choice] else math.inf
+    return np.array(x, dtype=int)
 
 
-# NOTE: the exhaustive-search oracle formerly here (``brute_force_allocation``)
-# lives in ``tests/allocation_oracle.py`` — it exists only to cross-check the
-# greedy allocator in tests and was never part of the runtime API.
+# The test oracles for this module (exhaustive search, and Algorithm 3 on
+# NumPy arrays) live in ``tests/allocation_oracle.py``.

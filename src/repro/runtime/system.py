@@ -642,14 +642,21 @@ class ADCNNSystem:
         return sum(m.transferred_bits for m in self._media)
 
     def makespan(self) -> float:
-        return max(r.completion for r in self.records)
+        """Last *finite* completion: records whose merge never finished (a
+        dead Central node leaves ``inf``) are skipped, as in
+        :meth:`mean_latency`."""
+        finite = [r.completion for r in self.records if math.isfinite(r.completion)]
+        if not finite:
+            raise ValueError("no finite completions — call run() first, or every merge failed")
+        return max(finite)
 
     def node_utilization(self) -> np.ndarray:
         """Per-Conv-node busy fraction over the run (§6.3's "nearly perfect
         utilization" claim).  Measured from first dispatch to makespan."""
         if not self.records:
             raise ValueError("no records — call run() first")
-        window = self.makespan() - self.records[0].dispatch_start
+        end = self.makespan()
+        window = end - self.records[0].dispatch_start
         if window <= 0:
             return np.zeros(len(self.nodes))
-        return np.array([n.total_busy_time(until=self.makespan()) / window for n in self.nodes])
+        return np.array([n.total_busy_time(until=end) / window for n in self.nodes])

@@ -100,14 +100,13 @@ class ADCNNWorkload:
             raise ValueError("need at least one tile")
         if not 0.0 < compression_ratio <= 1.0:
             raise ValueError("compression ratio must be in (0, 1]")
-        if separable_prefix is not None:
-            spec = replace(spec, separable_prefix=separable_prefix)
-        if not 0 < spec.separable_prefix <= len(spec.blocks):
+        prefix = spec.separable_prefix if separable_prefix is None else separable_prefix
+        if not 0 < prefix <= len(spec.blocks):
             raise ValueError("separable prefix out of range")
         geo = spec.block_geometry()
-        sep_macs = sum(b["macs"] for b in geo[: spec.separable_prefix])
-        rest = sum(b["macs"] for b in geo[spec.separable_prefix :])
-        out_elements = geo[spec.separable_prefix - 1]["ofmap"]
+        sep_macs = sum(b["macs"] for b in geo[:prefix])
+        rest = sum(b["macs"] for b in geo[prefix:])
+        out_elements = geo[prefix - 1]["ofmap"]
         input_bits = (
             input_bits_override if input_bits_override is not None else spec.input_elements() * BITS_PER_ELEMENT
         )
@@ -118,6 +117,6 @@ class ADCNNWorkload:
             tile_output_bits=out_elements * BITS_PER_ELEMENT * compression_ratio / num_tiles,
             tile_macs=sep_macs / num_tiles,
             rest_macs=rest,
-            total_macs=float(spec.total_macs()),
+            total_macs=float(sep_macs + rest),
             tile_output_raw_bits=out_elements * BITS_PER_ELEMENT / num_tiles,
         )

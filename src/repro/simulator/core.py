@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from .events import Event, EventQueue
@@ -42,13 +43,13 @@ class Simulator:
         """Process events until the queue drains or ``until`` is reached."""
         self._running = True
         processed = 0
+        pop = self._queue.pop
+        limit = math.inf if until is None else until
         try:
             while self._running:
-                nxt = self._queue.peek_time()
-                if nxt is None or (until is not None and nxt > until):
+                ev = pop(limit)
+                if ev is None:
                     break
-                ev = self._queue.pop()
-                assert ev is not None
                 self._now = ev.time
                 ev.action()
                 processed += 1

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from collections.abc import Callable
+from dataclasses import dataclass
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled callback; ordered by (time, seq) for determinism."""
+    """A scheduled callback; the queue orders events by (time, seq)."""
 
     time: float
     seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
@@ -25,29 +26,37 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of events."""
+    """A deterministic min-heap of events.
+
+    The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so the
+    tuple comparison (done in C) never reaches the event and the order is
+    exactly (time, scheduling order).
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, action: Callable[[], None]) -> Event:
-        ev = Event(time, next(self._counter), action)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._counter)
+        ev = Event(time, seq, action)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
-    def pop(self) -> Event | None:
-        """Next live event, or None when drained."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if not ev.cancelled:
-                return ev
+    def pop(self, until: float = math.inf) -> Event | None:
+        """Next live event due at or before ``until``; None when there is
+        none (a later event stays queued)."""
+        heap = self._heap
+        while heap:
+            item = heapq.heappop(heap)
+            ev = item[2]
+            if ev.cancelled:
+                continue
+            if item[0] > until:
+                heapq.heappush(heap, item)
+                return None
+            return ev
         return None
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def peek_time(self) -> float | None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None

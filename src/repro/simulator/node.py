@@ -28,23 +28,29 @@ class CpuSchedule:
     """
 
     changes: tuple[tuple[float, float], ...] = ()
+    #: Change instants, computed once for the bisections below.
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        times = [t for t, _ in self.changes]
-        if times != sorted(times):
+        times = tuple(t for t, _ in self.changes)
+        if list(times) != sorted(times):
             raise ValueError("CPU schedule changes must be time-sorted")
         if any(f < 0 for _, f in self.changes):
             raise ValueError("CPU factors cannot be negative")
+        object.__setattr__(self, "_times", times)
 
     def factor_at(self, t: float) -> float:
-        idx = bisect_right([c[0] for c in self.changes], t)
+        idx = bisect_right(self._times, t)
         return 1.0 if idx == 0 else self.changes[idx - 1][1]
 
     def next_change_after(self, t: float) -> float | None:
-        for time, _ in self.changes:
-            if time > t:
-                return time
-        return None
+        idx = bisect_right(self._times, t)
+        return self._times[idx] if idx < len(self._times) else None
+
+
+#: The default schedule, full speed forever: one frozen instance shared by
+#: every node built without a schedule.
+_FULL_SPEED = CpuSchedule()
 
 
 @dataclass
@@ -61,7 +67,7 @@ class SimNode:
 
     name: str
     device: DeviceProfile
-    cpu_schedule: CpuSchedule = field(default_factory=CpuSchedule)
+    cpu_schedule: CpuSchedule = _FULL_SPEED
     fail_time: float | None = None
     recover_time: float | None = None
     storage_bits: float = math.inf  # H_k in Algorithm 3
@@ -73,6 +79,7 @@ class SimNode:
             if self.recover_time <= self.fail_time:
                 raise ValueError("recover_time must be after fail_time")
         self._busy_until = 0.0
+        self._busy_total = 0.0
         self.busy_intervals: list[tuple[float, float]] = []
 
     # ----------------------------------------------------------------- state
@@ -133,18 +140,27 @@ class SimNode:
         if math.isfinite(finish):
             self._busy_until = finish
             self.busy_intervals.append((start, finish))
+            self._busy_total += finish - start
         return finish
 
     def total_busy_time(self, until: float | None = None) -> float:
-        """Sum of busy seconds (clipped at ``until``)."""
+        """Sum of busy seconds (clipped at ``until``).
+
+        ``submit`` keeps the unclipped sum as it records intervals, adding
+        them in the order the loop below would.  Interval ends never
+        decrease, so when the last one ends by ``until`` nothing is clipped
+        and that running sum is the answer; otherwise walk the intervals.
+        """
+        if until is None or not self.busy_intervals or self.busy_intervals[-1][1] <= until:
+            return self._busy_total
         total = 0.0
         for s, e in self.busy_intervals:
-            if until is not None:
-                e = min(e, until)
+            e = min(e, until)
             if e > s:
                 total += e - s
         return total
 
     def reset(self) -> None:
         self._busy_until = 0.0
+        self._busy_total = 0.0
         self.busy_intervals.clear()

@@ -1,5 +1,7 @@
 """Tests for the model zoo: shapes, split equivalence, specs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from repro.models import (
     decode_yolo,
     encode_text,
     fcn_mini,
+    fcn_spec,
     get_spec,
     resnet_mini,
+    vgg16_spec,
     vgg_mini,
     yolo_mini,
 )
@@ -187,3 +191,38 @@ class TestSpecs:
         # Same-channel block R3: 2 convs of 64ch at 56x56.
         assert r3["weights"] == 2 * (64 * 64 * 9 + 128)
         assert r4["weights"] > 2 * (64 * 128 * 9 + 256)  # includes projection
+
+
+class TestSpecImmutability:
+    """A spec is a value: built once, shared, and never written."""
+
+    def test_get_spec_returns_one_shared_instance(self):
+        assert get_spec("vgg16") is get_spec("vgg16")
+        assert get_spec("yolo", num_classes=20) is get_spec("yolo", num_classes=20)
+        assert get_spec("yolo", num_classes=20) is not get_spec("yolo", num_classes=80)
+
+    def test_fields_cannot_be_assigned(self):
+        spec = get_spec("vgg16")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.separable_prefix = 3  # type: ignore[misc]
+        assert isinstance(spec.blocks, tuple)
+
+    def test_geometry_is_computed_once_and_read_only(self):
+        spec = get_spec("vgg16")
+        geo = spec.block_geometry()
+        assert spec.block_geometry() is geo
+        with pytest.raises(TypeError):
+            geo[0]["macs"] = 0  # type: ignore[index]
+        with pytest.raises(TypeError):
+            geo[0] = {}  # type: ignore[index]
+
+    def test_replace_gets_its_own_geometry(self):
+        spec = get_spec("vgg16")
+        shallow = dataclasses.replace(spec, separable_prefix=3)
+        assert shallow.separable_geometry() == spec.block_geometry()[:3]
+        assert spec.separable_prefix == 7
+
+    def test_fcn_derives_from_the_vgg16_backbone(self):
+        fcn = fcn_spec()
+        assert fcn.blocks[:-1] == vgg16_spec().blocks[:-1]
+        assert fcn.blocks[-1].name == "score"

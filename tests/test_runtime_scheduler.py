@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allocation_oracle import brute_force_allocation
+from allocation_oracle import allocate_tiles_numpy, brute_force_allocation
 
 from repro.runtime import (
     SchedulingError,
@@ -140,3 +140,56 @@ class TestAllocateTiles:
         x = allocate_tiles(num_tiles, np.asarray(rates))
         assert x.sum() == num_tiles
         assert (x >= 0).all()
+
+
+EPSILON = 1e-9
+
+
+@st.composite
+def allocation_cases(draw):
+    """Rates with dead nodes (0, at or just below ``epsilon``), exact ties
+    (small repeated values), near-ties on either side of the ``1e-12``
+    tie tolerance, optional storage caps (some infeasible), and an optional
+    seeded tie-breaking generator."""
+    k = draw(st.integers(1, 9))
+    rate = st.one_of(
+        st.sampled_from([0.0, EPSILON, EPSILON / 2, 0.5, 1.0, 1.0, 1.0 + 1e-13, 1.0 - 1e-9, 2.0, 3.0]),
+        st.floats(1e-6, 100.0),
+    )
+    rates = draw(st.lists(rate, min_size=k, max_size=k))
+    tile_bits = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    storage = None
+    if draw(st.booleans()):
+        cap = st.one_of(st.just(float("inf")), st.floats(0.0, 60.0))
+        storage = draw(st.lists(cap, min_size=k, max_size=k))
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    return draw(st.integers(0, 128)), rates, tile_bits, storage, seed
+
+
+class TestAllocateTilesOracle:
+    """The scalar Algorithm 3 is bit-for-bit the NumPy formulation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=allocation_cases())
+    # Eight equal rates: every tile is a tie, so every draw counts.
+    @example(case=(61, [1.0] * 8, 0.0, None, 7))
+    # A ratio 1e-9 above the best is not a tie; 1e-13 above it is.
+    @example(case=(3, [1.0 - 1e-9, 1.0], 0.0, None, None))
+    @example(case=(3, [1.0 + 1e-13, 1.0], 0.0, None, None))
+    # Storage for 3 tiles of the 5.
+    @example(case=(5, [1.0, 2.0], 1.0, [1.0, 2.5], None))
+    def test_matches_numpy_oracle(self, case):
+        num_tiles, rates, tile_bits, storage, seed = case
+        rng_a = None if seed is None else np.random.default_rng(seed)
+        rng_b = None if seed is None else np.random.default_rng(seed)
+        try:
+            expected = allocate_tiles_numpy(num_tiles, rates, tile_bits, storage, rng_a)
+        except SchedulingError:
+            with pytest.raises(SchedulingError):
+                allocate_tiles(num_tiles, rates, tile_bits, storage, rng_b)
+            return
+        got = allocate_tiles(num_tiles, rates, tile_bits, storage, rng_b)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        if seed is not None:
+            assert rng_b.bit_generator.state == rng_a.bit_generator.state

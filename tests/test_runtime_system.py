@@ -141,6 +141,27 @@ class TestADCNNSystemBasics:
             ADCNNConfig(deadline_slack=0.5)
 
 
+class TestMakespan:
+    def test_central_failure_mid_run_keeps_a_finite_makespan(self):
+        """A Central node that dies mid-run leaves ``inf`` completions;
+        makespan and utilization skip them like ``mean_latency`` does."""
+        central = SimNode("central", RASPBERRY_PI_3B, fail_time=2.0)
+        sys_ = ADCNNSystem(vgg_workload(), make_cluster(), central)
+        recs = sys_.run(20)
+        finite = [r.completion for r in recs if math.isfinite(r.completion)]
+        assert finite and len(finite) < len(recs)
+        assert sys_.makespan() == max(finite)
+        util = sys_.node_utilization()
+        assert (util > 0).all() and (util <= 1).all()
+
+    def test_no_finite_completion_raises(self):
+        central = SimNode("central", RASPBERRY_PI_3B, fail_time=1e-6)
+        sys_ = ADCNNSystem(vgg_workload(), make_cluster(2), central)
+        sys_.run(2)
+        with pytest.raises(ValueError, match="no finite completions"):
+            sys_.makespan()
+
+
 class TestAdaptivity:
     def test_throttle_shifts_allocation(self):
         """Figure 15: throttling nodes 5-8 moves tiles to nodes 1-4."""
