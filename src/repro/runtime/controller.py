@@ -99,13 +99,16 @@ class BatchDelivered:
 
 @dataclass(frozen=True, slots=True)
 class ResultReceived:
-    """One tile result landed at the Central node.
+    """``count`` tile results of one batch landed at the Central node.
 
+    The DES reports every tile on its own (``count=1``: its medium really
+    delivers them one at a time); the process backend reports each accepted
+    batch once, with ``count`` the tiles it newly answered.
     ``compute_finish`` is the node-side completion stamp (arrival-span
-    credits); ``busy_seconds`` is the worker-measured busy time for the tile
-    (busy-span credits).  ``node`` may be :data:`LOCAL_WORKER` for tiles the
-    Central node computed itself — they count toward completion but earn no
-    node credit.  Drivers drop duplicates before reporting.
+    credits); ``busy_seconds`` is the worker-measured busy time for those
+    tiles (busy-span credits).  ``node`` may be :data:`LOCAL_WORKER` for
+    tiles the Central node computed itself — they count toward completion
+    but earn no node credit.  Drivers drop duplicates before reporting.
     """
 
     now: float
@@ -113,6 +116,7 @@ class ResultReceived:
     node: int
     compute_finish: float = math.nan
     busy_seconds: float = 0.0
+    count: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -627,12 +631,12 @@ class CentralController:
         if entry is None or entry.triggered:
             return []  # late result past the deadline — already zero-filled
         if 0 <= ev.node < self.num_nodes:
-            entry.received[ev.node] += 1
+            entry.received[ev.node] += ev.count
             # Results carry the node-side completion timestamp; rate credits
             # should reflect compute speed, not medium queueing noise.
             entry.last_finish[ev.node] = ev.compute_finish
             entry.busy_seconds[ev.node] += ev.busy_seconds
-        entry.results_landed += 1
+        entry.results_landed += ev.count
         if entry.results_landed == entry.num_tiles:
             return self._trigger(entry, ev.now, by_deadline=False)
         return []

@@ -4,7 +4,10 @@ The unit that crosses the process boundary is the controller's *batch*: one
 :class:`BatchTask` per ``SendBatch``/``Redispatch`` command (the tiles of one
 image handed to one Conv node) and one :class:`BatchResult` back.  Both name
 their tiles by ``(image_id, tile_ids)`` so the Central node can route every
-result to the right image slot regardless of arrival order.
+result to the right image slot regardless of arrival order.  The batch is
+also what the Central node accepts, credits and traces: one
+``ResultReceived(count=k)`` and one set of stage spans per result, never a
+per-tile split of it.
 
 Fault tolerance adds a drain/re-queue protocol on top: when the Central
 node detects a dead Conv node it *drains* the undelivered :class:`BatchTask`
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import queue as queue_mod
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -127,8 +129,9 @@ class BatchResult:
     Central node can place worker spans on a shared timeline): ``t_start``
     is the dequeue stamp, ``forward_seconds`` the one stacked forward (slot
     attach and emulated delay included) and ``compress_seconds`` the one
-    encode plus the one slot write.  :meth:`tile_spans` telescopes them
-    into contiguous per-tile spans.
+    encode plus the one slot write.  They are the batch's own timings, and
+    the Central node traces them as one span per stage carrying ``tiles=k``
+    — no tile has a timing of its own.
 
     ``ring_fallback`` marks a batch whose bytes *could* have used the
     worker's result ring but shipped inline because every slot was still
@@ -154,22 +157,6 @@ class BatchResult:
     dropped: bool = False
     #: Echo of the dispatching task's trace context (``None`` when tracing is off).
     trace: TraceContext | None = None
-
-    def tile_spans(self) -> Iterator[tuple[float, float, float]]:
-        """Per-tile ``(t_start, compute_seconds, compress_seconds)``.
-
-        Each tile is credited an equal share of the stacked forward and of
-        the batch's compress time; the spans tile ``[t_start, result put]``
-        contiguously, so the per-tile ``compute_seconds`` sum exactly to the
-        batch's measured wall time (the telemetry invariant the tracing
-        tests assert).
-        """
-        k = len(self.tile_ids)
-        share, compress = self.forward_seconds / k, self.compress_seconds / k
-        start = self.t_start
-        for _ in range(k):
-            yield start, share + compress, compress
-            start += share + compress
 
 
 @dataclass(frozen=True, slots=True)

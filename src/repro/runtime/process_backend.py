@@ -104,12 +104,13 @@ class _ImageState(TypedDict):
     """Per-image in-flight bookkeeping (tiles, assignment map, results, timing).
 
     ``trigger`` is ``None`` until the controller's :class:`TriggerMerge`
-    command lands — finalize paths must handle both states (a deadline can
-    fire before any result arrives).
+    command lands; only a triggered image is finalized.
 
     ``batches`` holds each accepted batch's one payload (a packed stream or
     the raw stacked output), decoded once at merge; ``results`` maps every
     accepted tile to ``(index into batches, row of the tile in it)``.
+    ``enqueued`` stamps each batch's enqueue (tracing only), keyed by the
+    ``tile_ids`` tuple its result echoes.
     """
 
     tiles: list[np.ndarray]
@@ -117,10 +118,9 @@ class _ImageState(TypedDict):
     assignment: dict[int, int]
     batches: list[PackedTensor | np.ndarray]
     results: dict[int, tuple[int, int]]
-    received: np.ndarray
     busy: np.ndarray
     local: list[int]
-    enqueue_ts: dict[int, float]
+    enqueued: dict[tuple[int, ...], float]
     deadline: float
     start: float
     trigger: TriggerMerge | None
@@ -250,10 +250,10 @@ class InferenceOutcome:
     zero_filled_tiles: list[int] = field(default_factory=list)
     locally_computed_tiles: list[int] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Worker-measured seconds, summed per worker over this image's tiles:
-    #: dequeue → result built (the busy time Algorithm 2's rate credits
-    #: use; the per-tile spans tile each batch's measured wall time
-    #: exactly).  Empty for images where no worker replied.
+    #: Worker-measured seconds, summed per worker over this image's
+    #: batches: dequeue → result built (the busy time Algorithm 2's rate
+    #: credits use; a partially duplicate batch adds only its new tiles'
+    #: share).  Empty for images where no worker replied.
     compute_seconds_per_worker: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -559,11 +559,13 @@ class ProcessCluster:
         for row, tid in enumerate(ids):
             st["results"][tid] = (batch, row)
             st["assignment"][tid] = LOCAL_WORKER
-            st["local"].append(tid)
-            self._execute(
-                self._controller.handle(ResultReceived(time.monotonic(), image_id, LOCAL_WORKER)),
-                inflight,
-            )
+        st["local"].extend(ids)
+        self._execute(
+            self._controller.handle(
+                ResultReceived(time.monotonic(), image_id, LOCAL_WORKER, count=len(ids))
+            ),
+            inflight,
+        )
 
     def _enqueue(
         self, node: int, image_id: int, tile_ids: Sequence[int], st: _ImageState, probe: bool = False
@@ -588,7 +590,7 @@ class ProcessCluster:
         trace = scope.context() if scope is not None else None
         st["assignment"].update(dict.fromkeys(tile_ids, node))
         if self.telemetry.enabled:
-            st["enqueue_ts"].update(dict.fromkeys(tile_ids, time.perf_counter()))
+            st["enqueued"][tuple(tile_ids)] = time.perf_counter()
         self._task_queues[node].put(
             self._endpoint.task(image_id, tile_ids, st["tiles"], probe=probe, trace=trace)
         )
@@ -663,7 +665,8 @@ class ProcessCluster:
         """Merge one image: reclaim slots, zero-fill, rest layers, telemetry."""
         tel = self.telemetry
         st = inflight.pop(image_id)
-        trig: TriggerMerge | None = st["trigger"]
+        trig = st["trigger"]
+        assert trig is not None, "only a triggered image is finalized"
         # Reclaim the image's task slot.  A straggler worker may later read
         # the recycled slot and return garbage — harmless, because its
         # result carries this (now-retired) image_id and gets dropped.
@@ -706,9 +709,7 @@ class ProcessCluster:
         outcome = InferenceOutcome(
             output=output,
             allocation=st["allocation"],
-            received_per_worker=(
-                np.array(trig.received, dtype=int) if trig is not None else st["received"]
-            ),
+            received_per_worker=np.array(trig.received, dtype=int),
             zero_filled_tiles=missing,
             locally_computed_tiles=sorted(st["local"]),
             wall_seconds=t_done - st["start"],
@@ -859,75 +860,58 @@ class ProcessCluster:
                 target = inflight.get(res.image_id)
                 if payload is None or target is None:
                     continue  # replaced worker incarnation, or stale image
-                if all(tid in target["results"] for tid in res.tile_ids):
+                results = target["results"]
+                new = {tid: row for row, tid in enumerate(res.tile_ids) if tid not in results}
+                if not new:
                     continue  # duplicate after a re-dispatch race
                 # Kept encoded: the merge decodes each batch once (DESIGN.md §5d).
                 target["batches"].append(payload)
                 batch = len(target["batches"]) - 1
-                for row, (tile_id, span) in enumerate(zip(res.tile_ids, res.tile_spans())):
-                    if tile_id in target["results"]:
-                        continue  # duplicate after a re-dispatch race
-                    busy = span[1]
-                    target["results"][tile_id] = (batch, row)
-                    target["received"][res.worker] += 1
-                    target["busy"][res.worker] += busy
-                    if tel.enabled:
-                        self._record_tile_spans(res, tile_id, span, target, recv)
-                    self._execute(
-                        self._controller.handle(
-                            ResultReceived(
-                                time.monotonic(), res.image_id, res.worker, busy_seconds=busy
-                            )
-                        ),
-                        inflight,
-                    )
+                results.update((tid, (batch, row)) for tid, row in new.items())
+                # A partial duplicate (re-dispatch race) is credited only
+                # its new tiles' share of the batch's busy time.
+                busy = (res.forward_seconds + res.compress_seconds) * len(new) / len(res.tile_ids)
+                target["busy"][res.worker] += busy
+                if tel.enabled:
+                    self._record_batch_spans(res, target, recv)
+                self._execute(
+                    self._controller.handle(
+                        ResultReceived(
+                            time.monotonic(), res.image_id, res.worker,
+                            busy_seconds=busy, count=len(new),
+                        )
+                    ),
+                    inflight,
+                )
         return got
 
-    def _record_tile_spans(
-        self,
-        res: BatchResult,
-        tile_id: int,
-        span: tuple[float, float, float],
-        st: _ImageState,
-        recv: float,
-    ) -> None:
-        """One tile's worker-side ``span`` (:meth:`BatchResult.tile_spans`) →
-        transfer/compute/compress/return spans.
+    def _record_batch_spans(self, res: BatchResult, st: _ImageState, recv: float) -> None:
+        """One batch's transfer/compute/compress/return spans, each carrying
+        ``tiles=k``: the batch is the unit the worker timed.
 
         ``perf_counter`` is CLOCK_MONOTONIC on Linux, shared across forked
         workers, so worker stamps and central stamps sit on one timeline.
+        Trace identity comes from the context the *worker echoed* (proof the
+        id crossed the IPC boundary and back); span ids are allocated
+        driver-side where the scope lives.
         """
-        tel = self.telemetry
-        t_start, busy, compress = span
-        scope = st["scope"]
-        ctx = res.trace
-        fields: dict[str, Any] = {
-            "node": f"worker{res.worker}", "image_id": res.image_id, "tile_id": tile_id,
-        }
-
-        def _trace_fields() -> dict[str, int]:
-            # Trace identity comes from the context the *worker echoed*
-            # (proof the id crossed the IPC boundary and back); span ids
-            # are allocated driver-side where the scope lives.
-            if ctx is None or scope is None:
-                return {}
-            return {
-                "trace_id": ctx.trace_id,
-                "span_id": scope.next_span_id(),
-                "parent_id": ctx.span_id,
-            }
-
-        enqueued = st["enqueue_ts"].get(tile_id)
-        if enqueued is not None:
-            tel.span(STAGE_TRANSFER, enqueued, max(t_start - enqueued, 0.0),
-                     **fields, **_trace_fields())
-        forward = max(busy - compress, 0.0)
-        tel.span(STAGE_CONV_COMPUTE, t_start, forward, batch=len(res.tile_ids),
-                 **fields, **_trace_fields())
-        if compress > 0:
-            tel.span(STAGE_COMPRESS, t_start + forward, compress, **fields, **_trace_fields())
-        t_end = t_start + busy
-        tel.span(STAGE_RESULT_TRANSFER, t_end, max(recv - t_end, 0.0), **fields, **_trace_fields())
+        t_forward = res.t_start + res.forward_seconds
+        t_end = t_forward + res.compress_seconds
+        enqueued = st["enqueued"].get(res.tile_ids)
+        stages = [] if enqueued is None else [(STAGE_TRANSFER, enqueued, max(res.t_start - enqueued, 0.0))]
+        stages.append((STAGE_CONV_COMPUTE, res.t_start, res.forward_seconds))
+        if res.compress_seconds > 0:
+            stages.append((STAGE_COMPRESS, t_forward, res.compress_seconds))
+        stages.append((STAGE_RESULT_TRANSFER, t_end, max(recv - t_end, 0.0)))
+        scope, ctx = st["scope"], res.trace
+        for kind, start, duration in stages:
+            trace = (
+                {} if ctx is None or scope is None
+                else {"trace_id": ctx.trace_id, "span_id": scope.next_span_id(),
+                      "parent_id": ctx.span_id}
+            )
+            self.telemetry.span(kind, start, duration, node=f"worker{res.worker}",
+                                image_id=res.image_id, tiles=len(res.tile_ids), **trace)
 
     def _materialize_tiles(
         self,
@@ -1055,10 +1039,9 @@ class StreamEngine:
             "assignment": {},
             "batches": [],
             "results": {},
-            "received": np.zeros(cluster.config.num_workers, dtype=int),
             "busy": np.zeros(cluster.config.num_workers),
             "local": [],
-            "enqueue_ts": {},
+            "enqueued": {},
             "deadline": now + cluster.config.t_limit,
             "start": start,
             "trigger": None,

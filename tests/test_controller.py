@@ -96,6 +96,9 @@ def conformance_trace():
     """Three pipelined images exercising every controller phase: full
     completion, a deadline miss with a late straggler, a mid-image node
     death with re-dispatch, a revival, and a post-recovery dispatch.
+    Image 0's results land as one multi-tile result per node (the process
+    backend's batch), image 1's partial node as a 2-tile result, the rest
+    one tile at a time (the DES).
 
     ``compute_finish=99.0`` / ``busy_seconds=999.0`` push both credit modes
     onto the window clamp, where each reduces to the paper's raw
@@ -108,20 +111,23 @@ def conformance_trace():
     # image 1 — dispatched while image 0 is still collecting (Figure 9)
     ev.append(ImageReady(0.15, 1, TILES, ALIVE4))
     ev += [BatchDelivered(0.25, 1, n) for n in range(4)]
-    for i in range(TILES):
+    for node in range(4):
         ev.append(
-            ResultReceived(0.30 + 0.04 * i, 0, i % 4, compute_finish=99.0, busy_seconds=999.0)
+            ResultReceived(
+                0.30 + 0.16 * node, 0, node, compute_finish=99.0, busy_seconds=999.0, count=4
+            )
         )
     ev.append(MergeCompleted(0.95, 0))
     # image 2 — will lose node 2 mid-collection
     ev.append(ImageReady(1.00, 2, TILES, ALIVE4))
     ev += [BatchDelivered(1.05, 2, n) for n in range(4)]
     # image 1: nodes 0/1 deliver fully, node 2 partially, node 3 misses
-    partial = [0] * 4 + [1] * 4 + [2] * 2
+    partial = [0] * 4 + [1] * 4
     for i, node in enumerate(partial):
         ev.append(
             ResultReceived(1.06 + 0.01 * i, 1, node, compute_finish=99.0, busy_seconds=999.0)
         )
+    ev.append(ResultReceived(1.15, 1, 2, compute_finish=99.0, busy_seconds=999.0, count=2))
     ev.append(DeadlineFired(1.25, 1))  # 0.25 + T_L
     ev.append(ResultReceived(1.26, 1, 3, compute_finish=99.0, busy_seconds=999.0))  # late
     ev.append(MergeCompleted(1.30, 1))
@@ -172,6 +178,58 @@ class TestBackendConformance:
         trace = conformance_trace()
         assert replay(a, trace) == replay(b, trace)
         assert a.decisions == b.decisions
+
+
+# ------------------------------------------------------ batched results
+def _result_groups(data, allocation):
+    """Draw per-node result batches that never exceed a node's allocation:
+    ``(node, busy parts)`` in a drawn interleaving.  Busy parts are dyadic
+    (``n / 64``), so their float sums are exact in any order."""
+    groups = []
+    for node, quota in enumerate(allocation):
+        while quota > 0 and data.draw(st.booleans(), label=f"more{node}"):
+            k = data.draw(st.integers(1, quota), label=f"k{node}")
+            parts = data.draw(st.lists(st.integers(1, 64), min_size=k, max_size=k), label="busy")
+            groups.append((node, [p / 64 for p in parts]))
+            quota -= k
+    return data.draw(st.permutations(groups), label="order")
+
+
+@pytest.mark.parametrize("profile", [des_controller, process_controller])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_counted_result_equals_its_single_tile_results(profile, data):
+    """``ResultReceived(count=k, busy_seconds=b)`` makes the same commands
+    and decisions as k one-tile results whose busy seconds sum to b —
+    through completion, a deadline zero-fill, results landing after the
+    trigger, and results for a stale image — in both backend profiles."""
+    batched, single = profile(), profile()
+    start = [ImageReady(0.0, 0, TILES, ALIVE4)] + [BatchDelivered(0.1, 0, n) for n in range(4)]
+    allocation = [c.count for c in replay(batched, start) if isinstance(c, SendBatch)]
+    replay(single, start)
+    groups = _result_groups(data, allocation)
+    deadline_at = data.draw(st.integers(0, len(groups)), label="deadline_at")
+    stale_at = data.draw(st.integers(0, len(groups)), label="stale_at")
+    trace_b, trace_s = [], []
+    for i, (node, parts) in enumerate(groups + [(None, [])]):
+        now = 0.2 + 0.05 * i
+        if i == deadline_at:
+            trace_b.append(DeadlineFired(now, 0))
+            trace_s.append(DeadlineFired(now, 0))
+        if i == stale_at:  # an image that was never (or is no longer) in flight
+            trace_b.append(ResultReceived(now, 7, 0, busy_seconds=0.5, count=3))
+            trace_s += [ResultReceived(now, 7, 0, busy_seconds=0.5)] * 3
+        if not parts:
+            continue
+        finish = now - 0.01
+        trace_b.append(
+            ResultReceived(now, 0, node, compute_finish=finish, busy_seconds=sum(parts), count=len(parts))
+        )
+        trace_s += [ResultReceived(now, 0, node, compute_finish=finish, busy_seconds=b) for b in parts]
+    # The next image's allocation shows the rate credits the first one earned.
+    end = [MergeCompleted(2.0, 0), ImageReady(2.1, 1, TILES, ALIVE4)]
+    assert replay(batched, trace_b + end) == replay(single, trace_s + end)
+    assert batched.decisions == single.decisions
 
 
 # --------------------------------------------------------------- properties

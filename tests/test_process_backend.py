@@ -68,6 +68,37 @@ class TestProtocol:
             assert out.allocation.sum() == 4
             assert out.received_per_worker.sum() == 4
 
+    def test_one_controller_turn_per_batch(self, monkeypatch):
+        """On the steady_compute shape (96x96 / 4x4 / 2 workers / window 2)
+        each image's 16 tiles come back as two batches, and the controller
+        takes one ``ResultReceived`` turn per batch — 2 per image, not 16."""
+        from repro.runtime.controller import ResultReceived, SendBatch
+
+        model = vgg_mini(num_classes=3, input_size=96, base_width=12, separable_prefix=4).eval()
+        imgs = [RNG.normal(size=(1, 3, 96, 96)).astype(np.float32) for _ in range(6)]
+        with ProcessCluster(
+            model, TileGrid(4, 4), CompressionPipeline(bits=4), ProcessClusterConfig(num_workers=2)
+        ) as cluster:
+            handle = cluster._controller.handle
+            turns, batches = {}, {}
+
+            def spy(event):
+                cmds = handle(event)
+                if isinstance(event, ResultReceived):
+                    turns.setdefault(event.image_id, []).append(event.count)
+                for cmd in cmds:
+                    if isinstance(cmd, SendBatch):
+                        batches.setdefault(cmd.image_id, []).append(cmd.count)
+                return cmds
+
+            monkeypatch.setattr(cluster._controller, "handle", spy)
+            outcomes = cluster.infer_stream(imgs, pipeline_depth=2)
+        assert all(o.zero_filled_tiles == [] for o in outcomes)
+        assert sorted(turns) == list(range(6))
+        for image_id, counts in turns.items():
+            assert len(counts) == 2 and sum(counts) == 16
+            assert sorted(counts) == sorted(batches[image_id])
+
 
     def test_inference_builds_no_tensor(self, monkeypatch):
         """Workers, the local fallback and the rest layers all run compiled
@@ -201,6 +232,43 @@ class TestLifecycleAndValidation:
         assert out.output.shape == (1, 3)
 
 
+def _sweep(results, enqueued=None, accepted=()):
+    """Feed ``results`` through an unstarted cluster's result sweep into one
+    in-flight image whose ``accepted`` tiles already have results.
+
+    Returns the recorder, the image state and every ``ResultReceived`` the
+    sweep handed the controller."""
+    import queue
+
+    from repro.runtime.controller import ResultReceived
+    from repro.telemetry import TelemetryRecorder
+
+    tel = TelemetryRecorder()
+    cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
+    rq = queue.Queue()
+    for res in results:
+        rq.put(res)
+    cluster._result_queues.append(rq)
+    events = []
+    handle = cluster._controller.handle
+
+    def spy(event):
+        if isinstance(event, ResultReceived):
+            events.append(event)
+        return handle(event)
+
+    cluster._controller.handle = spy
+    st = {
+        "batches": [np.zeros(1)] if accepted else [],
+        "results": {tid: (0, row) for row, tid in enumerate(accepted)},
+        "busy": np.zeros(2),
+        "enqueued": dict(enqueued or {}),
+        "scope": None,
+    }
+    assert cluster._sweep_results({0: st}) is True
+    return tel, st, events
+
+
 class TestWorkerCoalescing:
     """The worker's one-forward-per-batch loop, driven directly in a thread.
 
@@ -287,22 +355,31 @@ class TestWorkerCoalescing:
         for got, out in zip(np.split(pipe.decompress(packed), 4), outs):
             np.testing.assert_array_equal(got, pipe.apply(out))
 
-    def test_coalesced_spans_tile_the_batch_envelope(self):
-        """Telescoped per-tile spans are contiguous, sum to the measured
-        wall envelope, and the emulated delay scales with the batch size."""
+    def test_batch_spans_cover_the_batch_envelope(self):
+        """One batch is traced as one span per stage, each carrying
+        ``tiles=k``: conv_compute, compress and result_transfer run
+        contiguously from the worker's ``t_start``, transfer ends there, the
+        emulated delay scales with the batch size, and the busy time
+        credited is the batch's measured envelope."""
         model = small_model()
         delay = 0.01
         (res,) = self._run_worker(model, [self._batch(0, range(4), self._tiles())], delay=delay)
-        spans = list(res.tile_spans())
-        assert len(spans) == 4
-        for (t_start, busy, compress) in spans:
-            assert busy > compress >= 0
-        for (t0, busy, _), (t1, _, _) in zip(spans, spans[1:]):
-            assert t1 == t0 + busy  # exact: each span starts where the last ended
         envelope = res.forward_seconds + res.compress_seconds
-        assert spans[0][0] == res.t_start
-        assert sum(busy for _, busy, _ in spans) == pytest.approx(envelope, abs=1e-9)
         assert envelope >= 4 * delay  # one sleep covering the whole batch
+        assert res.compress_seconds > 0
+        tel, st, _ = _sweep([res], enqueued={(0, 1, 2, 3): res.t_start - 0.002})
+        kinds = ["transfer", "conv_compute", "compress", "result_transfer"]
+        spans = tel.spans()
+        assert [sp["kind"] for sp in spans] == kinds
+        assert all(sp["tiles"] == 4 and "tile_id" not in sp for sp in spans)
+        transfer, compute, compress, back = spans
+        assert transfer["time"] + transfer["duration"] == pytest.approx(res.t_start, abs=1e-9)
+        assert compute["time"] == res.t_start and compute["duration"] == res.forward_seconds
+        for a, b in [(compute, compress), (compress, back)]:
+            assert b["time"] == a["time"] + a["duration"]  # exact: contiguous
+        assert compress["duration"] == res.compress_seconds
+        assert st["busy"].tolist() == [envelope, 0.0]
+        assert st["results"] == {tid: (0, tid) for tid in range(4)}
 
     def test_mixed_image_queue_order_preserved(self):
         """Batches are answered one for one in queue order, across images,
@@ -348,6 +425,20 @@ class TestWorkerCoalescing:
         with nn.no_grad():
             (out,) = self._payloads(good)
             np.testing.assert_array_equal(out, sep(Tensor(tiles[0])).data)
+
+    def test_partial_duplicate_batch_credits_only_new_tiles(self):
+        """A batch two of whose four tiles were already answered (the
+        re-dispatch race) lands once, for its two new tiles: one
+        ``ResultReceived(count=2)`` with half the batch's busy time."""
+        from repro.runtime.messages import BatchResult
+
+        res = BatchResult(0, (0, 1, 2, 3), np.zeros((4, 6, 6, 6), np.float32), worker=1,
+                          t_start=5.0, forward_seconds=0.75, compress_seconds=0.25)
+        _, st, events = _sweep([res, res], accepted=(1, 2))  # then a whole duplicate
+        assert [(e.node, e.count, e.busy_seconds) for e in events] == [(1, 2, 0.5)]
+        assert st["busy"].tolist() == [0.0, 0.5]
+        assert st["results"] == {1: (0, 0), 2: (0, 1), 0: (1, 0), 3: (1, 3)}
+        assert len(st["batches"]) == 2
 
     def test_sweep_counts_dropped_results(self):
         """The collect loop counts a dropped marker once per tile and leaves

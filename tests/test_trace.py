@@ -196,6 +196,27 @@ class TestProcessBackendTracePropagation:
         for tid, tree in trees.items():
             assert tree.root.duration >= by_trace[tid]["latency"] - 1e-6
 
+    def test_batch_forward_is_credited_to_conv_compute(self):
+        """Each worker's 2-tile batch sleeps 2·d before its forward.  Traced
+        as one batch, that time is conv_compute on the critical path; a
+        per-tile split would book the second tile's half as the first
+        tile's result_transfer and credit conv_compute about d."""
+        from repro.models import vgg_mini
+        from repro.runtime import ProcessCluster, ProcessClusterConfig
+
+        d = 0.05
+        model = vgg_mini(num_classes=3, input_size=24, base_width=6, separable_prefix=2).eval()
+        cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0, delay_per_tile=(d, d))
+        rng = np.random.default_rng(29)
+        imgs = [rng.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(3)]
+        tel = TelemetryRecorder()
+        with ProcessCluster(model, "2x2", config=cfg, telemetry=tel) as cluster:
+            outcomes = cluster.infer_stream(imgs, pipeline_depth=1)
+        assert all(o.received_per_worker.tolist() == [2, 2] for o in outcomes)
+        trees, _ = _assert_traces_complete(tel, expected_images=3)
+        for tree in trees.values():
+            assert critical_path(tree).breakdown[STAGE_CONV_COMPUTE] >= 1.5 * d
+
     def test_null_recorder_bit_identical(self):
         rng = np.random.default_rng(23)
         imgs = [rng.normal(size=(1, 3, 24, 24)).astype(np.float32) for _ in range(2)]
