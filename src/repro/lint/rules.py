@@ -188,20 +188,23 @@ class ForkSafetyRule(Rule):
 
 # ---------------------------------------------------------------------- RL002
 class QueueMessageRule(Rule):
-    """Queue-crossing dataclasses live in ``runtime/messages.py``, are
-    frozen + slotted, and only data-path messages carry ndarrays.
+    """Queue- and pipe-crossing dataclasses live in ``runtime/messages.py``,
+    are frozen + slotted, and only data-path messages carry ndarrays.
 
-    Everything on an mp queue is pickled; ad-hoc payloads (dict literals,
-    arbitrary classes) break the drain/re-dispatch protocol, and mutable or
-    ``__dict__``-bearing messages invite cross-process aliasing bugs.
+    Everything put on an mp queue or sent on a worker channel is pickled;
+    ad-hoc payloads (dict literals, arbitrary classes) break the re-dispatch
+    protocol, and mutable or ``__dict__``-bearing messages invite
+    cross-process aliasing bugs.
     """
 
     code = "RL002"
     name = "queue-message-hygiene"
-    description = "mp-queue messages are declared, frozen+slots dataclasses"
+    description = "mp-queue and channel messages are declared, frozen+slots dataclasses"
     include = ("repro/runtime",)
 
     _QUEUE_NAMES = frozenset({"q", "tq", "rq", "task_queue", "result_queue"})
+    #: Receivers whose name holds one of these are queues or channels.
+    _QUEUE_FRAGMENTS = ("queue", "channel")
 
     def visit(self, node: ast.AST, ctx: ModuleContext, walker: Walker) -> None:
         if ctx.posix_path.endswith("messages.py"):
@@ -243,10 +246,12 @@ class QueueMessageRule(Rule):
 
     def _check_put(self, node: ast.Call, ctx: ModuleContext) -> None:
         func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in ("put", "put_nowait"):
+        if not isinstance(func, ast.Attribute) or func.attr not in ("put", "put_nowait", "send"):
             return
         recv = _receiver_text(func.value)
-        if "queue" not in recv.lower() and recv not in self._QUEUE_NAMES:
+        if recv not in self._QUEUE_NAMES and not any(
+            frag in recv.lower() for frag in self._QUEUE_FRAGMENTS
+        ):
             return
         if not node.args:
             return
@@ -255,8 +260,8 @@ class QueueMessageRule(Rule):
             ctx.report(
                 self.code,
                 arg,
-                "ad-hoc object enqueued on an mp queue (declare a frozen+slots dataclass "
-                "in runtime/messages.py instead)",
+                "ad-hoc object enqueued on an mp queue or channel (declare a frozen+slots "
+                "dataclass in runtime/messages.py instead)",
             )
             return
         if isinstance(arg, ast.Call):
@@ -265,7 +270,7 @@ class QueueMessageRule(Rule):
                 ctx.report(
                     self.code,
                     arg,
-                    f"{name} enqueued on an mp queue but is not declared in "
+                    f"{name} enqueued on an mp queue or channel but is not declared in "
                     "runtime/messages.py",
                 )
 

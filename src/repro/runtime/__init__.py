@@ -10,7 +10,7 @@ from .controller import (
     replay,
 )
 from .deployment import ADCNNDeployment
-from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown, drain_queue
+from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown
 from .policies import (
     AllocationPolicy,
     AllocationRequest,
@@ -55,7 +55,6 @@ __all__ = [
     "ShmRef",
     "SlotArena",
     "LOCAL_WORKER",
-    "drain_queue",
     "ProcessCluster",
     "ProcessClusterConfig",
     "InferenceOutcome",

@@ -9,15 +9,16 @@ also what the Central node accepts, credits and traces: one
 ``ResultReceived(count=k)`` and one set of stage spans per result, never a
 per-tile split of it.
 
-Fault tolerance adds a drain/re-queue protocol on top: when the Central
-node detects a dead Conv node it *drains* the undelivered :class:`BatchTask`
-messages still sitting in that node's task queue (so a restarted process
-never replays stale work) and re-queues every tile the node owned but never
+Fault tolerance adds a re-queue protocol on top: when the Central node
+detects a dead Conv node it re-queues every tile the node owned but never
 answered onto surviving nodes, reconstructed from the Central node's own
-assignment map.  ``probe`` batches are ordinary tasks flagged so a recovered
+assignment map; the undelivered :class:`BatchTask` frames die with the dead
+node's pipes, and a restarted process gets fresh ones, so it never replays
+stale work.  ``probe`` batches are ordinary tasks flagged so a recovered
 node can be given one unit of work to re-earn scheduling share.
 
-These are the *transport* messages (what crosses an mp queue).  The
+These are the *transport* messages (what crosses a worker's pipes, one
+pickled frame each; :mod:`repro.runtime.transport`).  The
 *decision* protocol — which batches to send, when the deadline fires, what
 gets re-dispatched — is the event/command vocabulary of
 :mod:`repro.runtime.controller`; drivers translate controller commands into
@@ -26,13 +27,7 @@ these wire messages.
 
 from __future__ import annotations
 
-import queue as queue_mod
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:
-    from multiprocessing.queues import Queue
 
 import numpy as np
 
@@ -40,7 +35,7 @@ from repro.telemetry.trace import TraceContext
 
 from .shm_arena import ShmRef
 
-__all__ = ["BatchTask", "BatchResult", "Shutdown", "ArenaGrant", "LOCAL_WORKER", "drain_queue"]
+__all__ = ["BatchTask", "BatchResult", "Shutdown", "ArenaGrant", "LOCAL_WORKER"]
 
 #: Sentinel worker id for tiles the Central node computed itself (graceful
 #: degradation when no Conv node can accept work).
@@ -54,7 +49,7 @@ class BatchTask:
     The data travels one of two ways, chosen per message by
     :mod:`repro.runtime.transport`: by reference (``slot`` describes the
     shared-memory slot holding the image's whole tile-major stack
-    ``(tiles, N, C, h, w)``, so the queue carries only this small descriptor
+    ``(tiles, N, C, h, w)``, so the frame carries only this small descriptor
     and the worker computes from a zero-copy view of rows ``tile_ids``) or
     inline (``block`` is the batch's tiles stacked ``(k·N, C, h, w)``,
     pickled with the message) when no slot is available.
@@ -84,32 +79,6 @@ class BatchTask:
             raise ValueError("a batch needs either an inline block or a slot descriptor")
 
 
-def drain_queue(q: Queue[Any], retries: int = 2, retry_delay: float = 0.01) -> list[BatchTask]:
-    """Drain undelivered messages from a dead worker's task queue.
-
-    Returns the :class:`BatchTask` messages recovered (other message types
-    are discarded).  A couple of short retries absorb the multiprocessing
-    feeder-thread race where a just-put item is not yet readable.  The
-    authoritative re-dispatch set is the Central node's assignment map —
-    draining exists so a *restarted* worker on the same queue never sees
-    stale tasks.
-    """
-    drained: list[BatchTask] = []
-    misses = 0
-    while misses <= retries:
-        try:
-            msg = q.get_nowait()
-        except queue_mod.Empty:
-            misses += 1
-            if misses <= retries:
-                time.sleep(retry_delay)
-            continue
-        misses = 0
-        if isinstance(msg, BatchTask):
-            drained.append(msg)
-    return drained
-
-
 @dataclass(frozen=True, slots=True)
 class BatchResult:
     """A Conv node's intermediate results for one :class:`BatchTask`.
@@ -119,8 +88,8 @@ class BatchResult:
     ``(k·N, C', h', w')`` encoded as one packed ``uint8`` stream (wire
     format v1, whose header records that shape; zero runs continue across
     tile boundaries); with it off, the raw stacked output itself.  Tile
-    ``tile_ids[i]`` is rows ``[i·N, (i+1)·N)`` of the decoded block.  On the
-    queue the buffer may be replaced by the :class:`ShmRef` of the one
+    ``tile_ids[i]`` is rows ``[i·N, (i+1)·N)`` of the decoded block.  In the
+    frame the buffer may be replaced by the :class:`ShmRef` of the one
     result-ring slot holding it, which the Central node materializes back
     before accepting any tile.  ``None`` only on a ``dropped`` marker.
 
@@ -163,11 +132,11 @@ class BatchResult:
 class ArenaGrant:
     """Control message granting a worker its result-slot ring.
 
-    Sent through the task queue before any :class:`BatchTask` that expects
+    Sent through the task pipe before any :class:`BatchTask` that expects
     shared-memory results: ``slot_names`` are Central-created segments the
     worker cycles through (``cursor % len(slot_names)``), gated by a
     fork-inherited semaphore of the same size.  A respawned worker gets a
-    fresh grant (fresh ring + fresh semaphore), mirroring the fresh-queue
+    fresh grant (fresh ring + fresh semaphore), mirroring the fresh-pipe
     respawn rule.
     """
 

@@ -1,7 +1,7 @@
 """Process-emulated edge cluster: Conv nodes as OS processes (DESIGN.md §2).
 
 This backend runs the *actual* computation end-to-end: worker processes hold
-the separable-block weights, receive real tile arrays over IPC queues, run
+the separable-block weights, receive real tile arrays over OS pipes, run
 the NumPy forward pass, compress with the §4 pipeline, and stream results
 back; the central process allocates tiles with Algorithms 2/3 against
 wall-clock statistics, enforces the ``T_L`` deadline with zero-fill, and
@@ -12,7 +12,7 @@ Every scheduling decision (allocation, probes, deadline arming, trigger,
 rate credits, re-dispatch planning) is made by the shared
 :class:`~repro.runtime.controller.CentralController` (DESIGN.md §5f); this
 module is the *driver* that feeds it wall-clock events and translates its
-commands into IPC queue operations, local compute, and telemetry.
+commands into pipe frames, local compute, and telemetry.
 
 Workers are forked, so the separable module is inherited, not pickled.
 An optional per-worker ``delay_per_tile`` emulates slow/throttled devices.
@@ -21,14 +21,17 @@ Fault tolerance (beyond the paper's zero-fill-only story):
 
 - **Supervision** — ``proc.is_alive()`` is checked in the collect loops; a
   dead worker is detected within ``poll_interval`` seconds.
-- **Fault isolation** — every worker writes results to its *own* queue
-  (single writer per channel).  A worker terminated mid-write can wedge a
-  shared ``mp.Queue``'s writer lock for every surviving producer; with
-  per-worker channels it can only wedge its own, which dies with it.
-- **Re-dispatch** — a dead worker's task queue is drained (so a restart
-  never replays stale work) and every tile it owned but never answered is
-  re-queued onto surviving workers before the ``T_L`` deadline; with no
-  survivors the central process computes the tiles itself.
+- **Fault isolation** — every worker has its own task and result pipe,
+  and each pipe end lives in one process, so a worker's death closes its
+  pipes: Central's next write sees ``EPIPE``, its next read EOF.  A frame
+  the worker left half-written is dropped with its pipe — Central reads only
+  ready fds and never waits on a partial frame — and no lock exists that a
+  killed process could leave held.
+- **Re-dispatch** — every tile a dead worker owned but never answered is
+  re-queued onto surviving workers before the ``T_L`` deadline, from the
+  Central node's assignment map (never pipe contents); with no survivors
+  the central process computes the tiles itself.  A restarted worker gets
+  fresh pipes, so it never replays stale work.
 - **Restart policy** — optionally (``max_restarts > 0``) a dead worker is
   respawned after a capped exponential backoff.
 - **Recovery probes** — a revived worker whose ``s_k`` has decayed to ~0
@@ -40,12 +43,10 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
-import queue as queue_mod
 import time
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Any, TypedDict
 
 import numpy as np
@@ -96,9 +97,9 @@ from .controller import (
     WorkerDied,
     WorkerRevived,
 )
-from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown, drain_queue
+from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown
 from .policies import AllocationPolicy
-from .transport import CentralEndpoint, WorkerEndpoint
+from .transport import CentralChannels, CentralEndpoint, WorkerChannel, WorkerEndpoint
 
 class _ImageState(TypedDict):
     """Per-image in-flight bookkeeping (tiles, assignment map, results, timing).
@@ -136,8 +137,7 @@ def _worker_loop(
     worker_id: int,
     separable: nn.Sequential,
     pipeline: CompressionPipeline | None,
-    task_queue: mp.Queue,
-    result_queue: mp.Queue,
+    channel: WorkerChannel,
     delay_per_tile: float,
     endpoint: WorkerEndpoint,
 ) -> None:
@@ -156,13 +156,18 @@ def _worker_loop(
     shutdown race) produces a ``dropped`` marker instead of vanishing
     silently, so the Central node can count it; the tiles themselves stay
     unanswered and follow the normal re-dispatch/zero-fill path.
+
+    The worker runs one thread: it reads tasks from, and writes results to,
+    its two pipes itself (``channel``).  It exits on :class:`Shutdown`, on
+    EOF of the task pipe, or when a result write finds Central's end closed.
     """
+    channel.adopt()
     separable.eval()
     fused = nn.try_compile(separable)
     try:
         while True:
-            msg = task_queue.get()
-            if isinstance(msg, Shutdown):
+            msg = channel.recv()
+            if msg is None or isinstance(msg, Shutdown):
                 break
             if isinstance(msg, ArenaGrant):
                 endpoint.accept(msg)
@@ -172,7 +177,7 @@ def _worker_loop(
             k = len(msg.tile_ids)
             block = endpoint.read(msg)
             if block is None:
-                result_queue.put(
+                channel.send(
                     BatchResult(msg.image_id, msg.tile_ids, None, worker_id,
                                 dropped=True, trace=msg.trace)
                 )
@@ -185,7 +190,7 @@ def _worker_loop(
             t_forward = time.perf_counter()
             result = out_block if pipeline is None else pipeline.compress_packed(out_block).packed.buffer
             payload, ring_fallback = endpoint.stage_result(result)
-            result_queue.put(
+            channel.send(
                 BatchResult(
                     image_id=msg.image_id,
                     tile_ids=msg.tile_ids,
@@ -198,8 +203,11 @@ def _worker_loop(
                     trace=msg.trace,
                 )
             )
+    except BrokenPipeError:
+        return  # Central closed the result pipe: the cluster is stopping
     finally:
         endpoint.close()
+        channel.close()
 
 
 @dataclass(frozen=True)
@@ -301,8 +309,8 @@ class ProcessCluster:
         #: before a ``WorkerDied`` event, consumed by ``Redispatch`` commands.
         self._redispatch_tids: dict[int, list[int]] = {}
         self._ctx = mp.get_context("fork")
-        self._task_queues: list[mp.Queue] = []
-        self._result_queues: list[mp.Queue] = []
+        #: Central's ends of every worker's task and result pipes.
+        self._channels = CentralChannels(self.config.num_workers)
         self._procs: list[mp.Process] = []
         self._delays: tuple[float, ...] = ()
         self._image_counter = 0
@@ -310,7 +318,7 @@ class ProcessCluster:
         self._restart_counts: list[int] = []
         self._restart_at: list[float | None] = []
         #: The Central half of the tile transport: the only thing here that
-        #: knows whether a tile rides a shared-memory slot or the queue.
+        #: knows whether a tile rides a shared-memory slot or the frame.
         self._endpoint = CentralEndpoint(self._ctx, self.config.num_workers)
 
     # ------------------------------------------------------------- controller
@@ -359,8 +367,6 @@ class ProcessCluster:
         self._restart_at = [None] * self.config.num_workers
         self._endpoint.probe()
         for wid in range(self.config.num_workers):
-            self._task_queues.append(self._ctx.Queue())
-            self._result_queues.append(self._ctx.Queue())
             self._procs.append(self._spawn(wid))
         return self
 
@@ -371,42 +377,42 @@ class ProcessCluster:
         return self._endpoint.label
 
     def _spawn(self, worker_id: int) -> mp.Process:
+        # Fresh pipes for every incarnation, opened right before the fork;
+        # the worker-side ends are closed here as soon as the child holds
+        # them, so a later fork never inherits them.
+        channel = self._channels.open(worker_id)
         proc = self._ctx.Process(
             target=_worker_loop,
             args=(
                 worker_id,
                 self._fused.stack,
                 self.pipeline,
-                self._task_queues[worker_id],
-                self._result_queues[worker_id],
+                channel,
                 self._delays[worker_id],
                 self._endpoint.worker_endpoint(worker_id),
             ),
             daemon=True,
         )
-        proc.start()
+        try:
+            proc.start()
+        finally:
+            channel.close()
         return proc
 
     def stop(self) -> None:
-        for wid, tq in enumerate(self._task_queues):
-            try:
-                tq.put(Shutdown())
-            except Exception as exc:
-                # A worker that died mid-run can leave a broken feeder pipe;
-                # the join/terminate below still reaps the process.  Record
-                # the event instead of swallowing it (RL004).
-                self.telemetry.record(
-                    time.perf_counter(), "shutdown_put_failed",
-                    node=f"worker{wid}", error=type(exc).__name__,
-                )
+        if self._procs:
+            for wid in range(self.config.num_workers):
+                self._channels[wid].send(Shutdown())
+        # Closing Central's ends is the fallback signal: a worker whose
+        # Shutdown is still in the outbox reads EOF, and one blocked writing
+        # a result gets EPIPE.
+        self._channels.close()
         for proc in self._procs:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
         self._procs.clear()
-        self._task_queues.clear()
-        self._result_queues.clear()
         self._known_dead.clear()
         # The Central process created every segment, so it unlinks every
         # segment — exactly once, after all workers are gone.
@@ -486,7 +492,6 @@ class ProcessCluster:
             if wid not in self._known_dead:
                 self._known_dead.add(wid)
                 self.telemetry.record(time.perf_counter(), "worker_dead", node=f"worker{wid}")
-                drain_queue(self._task_queues[wid])
                 if self._restart_counts[wid] < self.config.max_restarts:
                     backoff = min(
                         self.config.restart_backoff * (2 ** self._restart_counts[wid]),
@@ -520,16 +525,10 @@ class ProcessCluster:
         return tuple(alive)
 
     def _respawn(self, worker_id: int) -> None:
-        # A worker killed while blocked in ``task_queue.get()`` (or mid-put
-        # on its result queue) dies holding the queue's internal lock —
-        # POSIX semaphores are not robust, so a successor using the same
-        # queues would deadlock.  The restarted worker gets fresh queues;
-        # undelivered tiles are not lost because re-dispatch works off the
-        # central assignment map, never the queue contents.
-        self._task_queues[worker_id] = self._ctx.Queue()
-        self._result_queues[worker_id] = self._ctx.Queue()
-        # _spawn also hands the successor a fresh transport endpoint (fresh
-        # result ring + fresh semaphore), for the same reason.
+        # _spawn hands the successor fresh pipes and a fresh transport
+        # endpoint (fresh result ring + fresh semaphore: the dead incarnation
+        # may have died holding a permit).  Its predecessor's unread tasks go
+        # with the old pipe; re-dispatch already covered them.
         self._procs[worker_id] = self._spawn(worker_id)
         self._restart_counts[worker_id] += 1
         self._restart_at[worker_id] = None
@@ -583,7 +582,9 @@ class ProcessCluster:
             if self.pipeline is not None:
                 nbytes = max(nbytes, max_packed_nbytes(
                     n_out, len(out_shape), self.pipeline.bits, self.pipeline.run_bits))
-            self._endpoint.grant_ring(node, nbytes, self._task_queues[node])
+            grant = self._endpoint.grant_ring(node, nbytes)
+            if grant is not None:
+                self._channels[node].send(grant)
         # The task carries the request's frozen trace context across the IPC
         # boundary; the worker echoes it back on the BatchResult (§5h).
         scope = st["scope"]
@@ -591,7 +592,7 @@ class ProcessCluster:
         st["assignment"].update(dict.fromkeys(tile_ids, node))
         if self.telemetry.enabled:
             st["enqueued"][tuple(tile_ids)] = time.perf_counter()
-        self._task_queues[node].put(
+        self._channels[node].send(
             self._endpoint.task(image_id, tile_ids, st["tiles"], probe=probe, trace=trace)
         )
 
@@ -722,35 +723,20 @@ class ProcessCluster:
         return outcome
 
     def result_readers(self) -> list[Any]:
-        """Waitable reader connections of the live result queues.
+        """File descriptors of the open result pipes.
 
         Exposed so multi-cluster drivers (:class:`repro.sharding.ClusterRouter`)
         can park on *every* shard's result pipes in one
         :func:`multiprocessing.connection.wait` call instead of polling
         clusters round-robin.
         """
-        return [
-            reader
-            for reader in (getattr(q, "_reader", None) for q in self._result_queues)
-            if reader is not None
-        ]
+        return self._channels.readers()
 
     def _wait_results(self, timeout: float) -> bool:
-        """Block until any worker's result pipe is readable, or ``timeout``.
-
-        Uses :func:`multiprocessing.connection.wait` on the result queues'
-        reader connections, so an arriving result wakes the Central loop
-        immediately — the idle path used to busy-poll with a 5 ms sleep,
-        adding up to 5 ms to every result's latency and burning CPU.
-        """
-        readers = self.result_readers()
-        if not readers:  # pragma: no cover - queues always expose _reader on CPython
-            time.sleep(min(timeout, self.config.poll_interval))
-            return False
-        try:
-            return bool(mp_connection.wait(readers, timeout=max(timeout, 0.0)))
-        except OSError:
-            return False  # a queue was torn down mid-wait (respawn race)
+        """Block until a result pipe is readable or a task outbox can move,
+        or ``timeout``: one ``poll`` over the persistent set, so an arriving
+        result wakes the Central loop immediately."""
+        return self._channels.wait(timeout)
 
     # ------------------------------------------------------ command execution
     def _execute(self, cmds: list[Command], inflight: dict[int, _ImageState]) -> None:
@@ -824,66 +810,61 @@ class ProcessCluster:
         self.telemetry.count("adcnn_tiles_dispatched_total", len(take), node=f"worker{cmd.node}")
 
     def _sweep_results(self, inflight: dict[int, _ImageState]) -> bool:
-        """Drain every worker's result channel; True if anything arrived."""
+        """Flush task outboxes and take every whole result frame from the ready
+        result pipes; True if any result arrived.  Never blocks."""
         tel = self.telemetry
-        got = False
-        for q in list(self._result_queues):
-            while True:
-                try:
-                    res: BatchResult = q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                got = True
-                recv = time.perf_counter() if tel.enabled else 0.0
-                node = f"worker{res.worker}"
-                if res.ring_fallback:
-                    # The worker wanted a ring slot but every permit was
-                    # held here — back-pressure made it ship inline.
-                    tel.count("adcnn_result_ring_fallback_total", node=node)
-                if res.dropped:
-                    # The worker could not attach the batch's shm slot
-                    # (unlinked mid-shutdown) — no tile was computed.
-                    # Count them and leave the tiles unanswered so the normal
-                    # re-dispatch/zero-fill machinery covers them.
-                    tel.count("adcnn_worker_dropped_tasks_total", len(res.tile_ids), node=node)
-                    continue
-                # Materialize BEFORE any accept/drop decision: even a batch
-                # we end up dropping must have its semaphore permit returned,
-                # or the worker's ring shrinks by one slot forever.
-                try:
-                    payload = self._endpoint.materialize(res)
-                except Exception:
-                    # Corrupt result bytes: unanswered like a dropped batch,
-                    # but counted so T_L is not the only trace of it.
-                    tel.count("adcnn_result_corrupt_total", len(res.tile_ids), node=node)
-                    continue
-                target = inflight.get(res.image_id)
-                if payload is None or target is None:
-                    continue  # replaced worker incarnation, or stale image
-                results = target["results"]
-                new = {tid: row for row, tid in enumerate(res.tile_ids) if tid not in results}
-                if not new:
-                    continue  # duplicate after a re-dispatch race
-                # Kept encoded: the merge decodes each batch once (DESIGN.md §5d).
-                target["batches"].append(payload)
-                batch = len(target["batches"]) - 1
-                results.update((tid, (batch, row)) for tid, row in new.items())
-                # A partial duplicate (re-dispatch race) is credited only
-                # its new tiles' share of the batch's busy time.
-                busy = (res.forward_seconds + res.compress_seconds) * len(new) / len(res.tile_ids)
-                target["busy"][res.worker] += busy
-                if tel.enabled:
-                    self._record_batch_spans(res, target, recv)
-                self._execute(
-                    self._controller.handle(
-                        ResultReceived(
-                            time.monotonic(), res.image_id, res.worker,
-                            busy_seconds=busy, count=len(new),
-                        )
-                    ),
-                    inflight,
-                )
-        return got
+        arrived: list[BatchResult] = self._channels.receive()
+        for res in arrived:
+            recv = time.perf_counter() if tel.enabled else 0.0
+            node = f"worker{res.worker}"
+            if res.ring_fallback:
+                # The worker wanted a ring slot but every permit was
+                # held here — back-pressure made it ship inline.
+                tel.count("adcnn_result_ring_fallback_total", node=node)
+            if res.dropped:
+                # The worker could not attach the batch's shm slot
+                # (unlinked mid-shutdown) — no tile was computed.
+                # Count them and leave the tiles unanswered so the normal
+                # re-dispatch/zero-fill machinery covers them.
+                tel.count("adcnn_worker_dropped_tasks_total", len(res.tile_ids), node=node)
+                continue
+            # Materialize BEFORE any accept/drop decision: even a batch
+            # we end up dropping must have its semaphore permit returned,
+            # or the worker's ring shrinks by one slot forever.
+            try:
+                payload = self._endpoint.materialize(res)
+            except Exception:
+                # Corrupt result bytes: unanswered like a dropped batch,
+                # but counted so T_L is not the only trace of it.
+                tel.count("adcnn_result_corrupt_total", len(res.tile_ids), node=node)
+                continue
+            target = inflight.get(res.image_id)
+            if payload is None or target is None:
+                continue  # replaced worker incarnation, or stale image
+            results = target["results"]
+            new = {tid: row for row, tid in enumerate(res.tile_ids) if tid not in results}
+            if not new:
+                continue  # duplicate after a re-dispatch race
+            # Kept encoded: the merge decodes each batch once (DESIGN.md §5d).
+            target["batches"].append(payload)
+            batch = len(target["batches"]) - 1
+            results.update((tid, (batch, row)) for tid, row in new.items())
+            # A partial duplicate (re-dispatch race) is credited only
+            # its new tiles' share of the batch's busy time.
+            busy = (res.forward_seconds + res.compress_seconds) * len(new) / len(res.tile_ids)
+            target["busy"][res.worker] += busy
+            if tel.enabled:
+                self._record_batch_spans(res, target, recv)
+            self._execute(
+                self._controller.handle(
+                    ResultReceived(
+                        time.monotonic(), res.image_id, res.worker,
+                        busy_seconds=busy, count=len(new),
+                    )
+                ),
+                inflight,
+            )
+        return bool(arrived)
 
     def _record_batch_spans(self, res: BatchResult, st: _ImageState, recv: float) -> None:
         """One batch's transfer/compute/compress/return spans, each carrying
@@ -961,8 +942,8 @@ class StreamEngine:
       controller's allocation, and enqueues its tiles;
     - :meth:`pump` advances the collect loop (supervision, deadline firing,
       result sweeping, oldest-first finalize) and returns every image that
-      finished since the last call.  When idle it blocks on the result
-      queues' readers — never a fixed sleep — so results wake it instantly.
+      finished since the last call.  When idle it blocks in one ``poll`` on
+      the result pipes — never a fixed sleep — so results wake it instantly.
 
     The engine holds no OS resources of its own; abandoning one mid-stream
     leaks nothing (in-flight bookkeeping is reclaimed by ``stop()``'s arena
@@ -1052,9 +1033,9 @@ class StreamEngine:
         self._inflight[image_id] = st
         self._order.append(image_id)
         cluster._execute(cmds, self._inflight)
-        # IPC delivery is synchronous: a batch is "on the wire" the
-        # moment ``put`` returns, so every transfer completes at
-        # dispatch time and the deadline arms from here.
+        # A batch is "on the wire" the moment ``send`` returns (in the
+        # pipe, or in the outbox the pump flushes), so every transfer
+        # completes at dispatch time and the deadline arms from here.
         for cmd in cmds:
             if isinstance(cmd, SendBatch) and cmd.node != LOCAL_WORKER:
                 cluster._execute(
@@ -1072,10 +1053,10 @@ class StreamEngine:
         """Advance collection; returns ``(image_id, outcome)`` pairs done.
 
         One call makes bounded progress: finalize anything already
-        triggered, supervise worker liveness, sweep the result queues, and
-        (when ``block`` and nothing happened) wait on the queues' readers
-        until the oldest image's deadline or the liveness-poll interval,
-        whichever is sooner.  Callers loop; an empty list is not "stream
+        triggered, supervise worker liveness, sweep the result pipes, and
+        (when ``block`` and nothing happened) wait on the pipes until the
+        oldest image's deadline or the liveness-poll interval, whichever is
+        sooner.  Callers loop; an empty list is not "stream
         over", it is "nothing finished yet".
         """
         cluster = self._cluster

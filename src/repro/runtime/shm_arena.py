@@ -44,7 +44,7 @@ __all__ = [
 class ShmRef:
     """Picklable descriptor of an ndarray sitting in a shared-memory slot.
 
-    This is all that crosses the IPC queue for a slot-staged message: an
+    This is all that crosses a worker pipe for a slot-staged message: an
     image's tile stack on the way out, a batch's result buffer (raw output
     block, or ``uint8`` packed-codec bytes) on the way back.
     """

@@ -420,6 +420,11 @@ class ServingFrontEnd:
             return False
         for image_id, outcome in results:
             self._complete(inflight.pop(image_id), outcome)
+        if results:
+            # Hand the GIL over once: a client woken by a completion submits
+            # its next image before this thread merges the next one, so the
+            # two overlap as in Figure 9 (DESIGN.md §5d).
+            time.sleep(0)
         return True
 
     def _admit(self, handle: ClusterHandle, inflight: dict[int, _Pending]) -> None:

@@ -6,6 +6,7 @@ is a count or a bit comparison — no timing.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -77,11 +78,15 @@ class TestWorkersHaveNoPool:
 
     def test_served_image_leaves_workers_poolless(self):
         model, grid, image = build("steady_compute")
+        before = set(threading.enumerate())
         with ProcessCluster(model, grid, config=ProcessClusterConfig(num_workers=2)) as cluster:
             outcome = cluster.infer(image)
             assert (outcome.received_per_worker > 0).all()  # both ran a GEMM
-            # main + the result queue's feeder; a BLAS pool would be a third.
-            assert max(task_counts(cluster)) <= 2
+            # The worker's main thread alone: it writes its own pipes, so a
+            # second thread would be a BLAS pool (or a feeder come back).
+            assert task_counts(cluster) == [1, 1]
+            # Central writes and reads the pipes itself: no feeder thread.
+            assert set(threading.enumerate()) <= before
             assert cluster.health().blas_threads == 1
         assert blas.get_num_threads() == 1  # one-way: not restored on stop()
 
@@ -100,8 +105,7 @@ class TestWorkersHaveNoPool:
                     served_by_successor = True
                     break
             assert served_by_successor
-            counts = task_counts(cluster)
-            assert len(counts) == 2 and max(counts) <= 2
+            assert task_counts(cluster) == [1, 1]
             assert cluster.health().blas_threads == 1
 
     def test_handle_restart_inherits_the_pin(self):
@@ -115,7 +119,7 @@ class TestWorkersHaveNoPool:
             while not done:
                 done = handle.pump()
             assert (done[0][1].received_per_worker > 0).all()
-            assert max(task_counts(handle.cluster)) <= 2
+            assert task_counts(handle.cluster) == [1, 1]
             assert handle.health().blas_threads == 1
 
 

@@ -7,7 +7,7 @@ local execution instead of raising ``SchedulingError``; a restarted worker
 re-earns share through recovery probes.
 """
 
-import multiprocessing as mp
+import os
 import threading
 import time
 
@@ -19,12 +19,12 @@ from repro.nn import Tensor
 from repro.partition import FDSPModel, TileGrid
 from repro.runtime import (
     LOCAL_WORKER,
+    BatchResult,
     BatchTask,
     ProcessCluster,
     ProcessClusterConfig,
-    Shutdown,
-    drain_queue,
 )
+from repro.runtime.transport import _frame
 
 RNG = np.random.default_rng(93)
 
@@ -77,6 +77,74 @@ class TestRedispatch:
                 killer.cancel()
         assert len(out.zero_filled_tiles) > 0
         assert np.isfinite(out.output).all()
+
+    @pytest.mark.parametrize("redispatch", [True, False])
+    def test_half_written_result_frame_never_blocks_the_sweep(self, redispatch):
+        """A worker killed halfway through writing a result frame larger
+        than PIPE_BUF leaves half a frame in its pipe.  The sweep must
+        return at once — the partial frame dies with the pipe at EOF — and
+        the batch's tiles follow re-dispatch, or the T_L zero-fill when
+        re-dispatch is off."""
+        model, x = small_model(), images(1)[0]
+        cfg = ProcessClusterConfig(num_workers=2, t_limit=30.0 if redispatch else 1.0,
+                                   redispatch=redispatch)
+        with ProcessCluster(model, TileGrid(2, 2), config=cfg) as cluster:
+            healthy = cluster.infer(x)
+        with ProcessCluster(model, TileGrid(2, 2), config=cfg) as cluster:
+            # The test plays worker 0: fresh pipes whose worker side it holds
+            # (the real worker reads EOF and exits), and a stand-in process
+            # that stays alive until the frame is half-written.
+            real, cluster._procs[0] = cluster._procs[0], _StandIn()
+            worker = cluster._channels.open(0)
+            real.join(timeout=5.0)
+            engine = cluster.stream_engine(window=1)
+            engine.dispatch(cluster.validate_image(x))
+            task = _finishes(worker.recv, 5.0)
+            if not isinstance(task, BatchTask):  # the result-ring grant comes first
+                task = _finishes(worker.recv, 5.0)
+            assert isinstance(task, BatchTask) and len(task.tile_ids) == 2  # an even split
+            frame = _frame(BatchResult(task.image_id, task.tile_ids,
+                                       np.zeros(4096, dtype=np.float32), worker=0))
+            half = frame[: len(frame) // 2]
+            assert len(half) > 4096 and os.write(worker._result_fd, half) == len(half)
+            worker.close()
+            cluster._procs[0].alive = False  # killed mid-write
+            _finishes(lambda: cluster._sweep_results(engine._inflight), 5.0)
+            done = []
+            deadline = time.monotonic() + 30.0
+            while not done and time.monotonic() < deadline:
+                done = engine.pump()
+        (_, out), = done
+        if redispatch:
+            assert out.zero_filled_tiles == [] and out.received_per_worker.tolist() == [0, 4]
+            np.testing.assert_array_equal(out.output, healthy.output)
+        else:
+            assert out.zero_filled_tiles == sorted(task.tile_ids)
+
+
+class _StandIn:
+    """A worker-process stand-in: alive until the test says it died."""
+
+    alive = True
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        pass
+
+    def terminate(self):
+        self.alive = False
+
+
+def _finishes(fn, timeout):
+    """Run ``fn`` on a daemon thread; its result, or fail when it hangs."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still blocked after {timeout} s"
+    return out[0]
 
 
 class TestLocalFallback:
@@ -149,21 +217,6 @@ class TestRestartAndProbes:
             cluster.infer(RNG.normal(size=(1, 3, 24, 24)).astype(np.float32))
             assert cluster.restart_counts == [0, 0]
             assert not cluster._procs[1].is_alive()
-
-
-class TestDrainProtocol:
-    def test_drain_recovers_undelivered_tasks(self):
-        ctx = mp.get_context("fork")
-        q = ctx.Queue()
-        for tids in ((0, 1), (2,), (3, 4, 5)):
-            q.put(BatchTask(0, tids, np.zeros((len(tids), 1, 2, 2), dtype=np.float32)))
-        q.put(Shutdown())
-        drained = drain_queue(q)
-        assert [t.tile_ids for t in drained] == [(0, 1), (2,), (3, 4, 5)]  # Shutdown discarded
-
-    def test_drain_empty_queue(self):
-        ctx = mp.get_context("fork")
-        assert drain_queue(ctx.Queue()) == []
 
 
 class TestConfigValidation:

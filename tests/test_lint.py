@@ -39,7 +39,9 @@ def test_rl002_queue_put_fixture():
     found = violations_in(FIXTURES / "runtime" / "bad_queue_put.py")
     assert ("RL002", 9) in found  # dict literal enqueued
     assert ("RL002", 10) in found  # undeclared class enqueued
-    assert len(found) == 2
+    assert ("RL002", 14) in found  # dict literal sent on a channel
+    assert ("RL002", 15) in found  # undeclared class sent on a channel
+    assert len(found) == 4
 
 
 def test_rl003_shm_pairing_fixture():

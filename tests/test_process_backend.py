@@ -238,17 +238,12 @@ def _sweep(results, enqueued=None, accepted=()):
 
     Returns the recorder, the image state and every ``ResultReceived`` the
     sweep handed the controller."""
-    import queue
-
     from repro.runtime.controller import ResultReceived
     from repro.telemetry import TelemetryRecorder
 
     tel = TelemetryRecorder()
     cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
-    rq = queue.Queue()
-    for res in results:
-        rq.put(res)
-    cluster._result_queues.append(rq)
+    _post(cluster, results)
     events = []
     handle = cluster._controller.handle
 
@@ -266,43 +261,53 @@ def _sweep(results, enqueued=None, accepted=()):
         "scope": None,
     }
     assert cluster._sweep_results({0: st}) is True
+    cluster._channels.close()
     return tel, st, events
 
 
-class TestWorkerCoalescing:
-    """The worker's one-forward-per-batch loop, driven directly in a thread.
+def _post(cluster, results):
+    """Write ``results`` into worker 0's result pipe of an unstarted cluster,
+    as its worker would, and close the worker-side ends."""
+    worker = cluster._channels.open(0)
+    for res in results:
+        worker.send(res)
+    worker.close()
 
-    ``_worker_loop`` only needs the queue get/put API, so a ``queue.Queue``
-    stands in for the mp queues and the whole protocol runs in-process.
-    """
+
+class TestWorkerCoalescing:
+    """The worker's one-forward-per-batch loop, driven directly: one forked
+    ``_worker_loop`` on a fresh pair of pipes, without a cluster around it."""
 
     @staticmethod
     def _run_worker(model, tasks, pipeline=None, delay=0.0):
-        import queue
-        import threading
+        import multiprocessing as mp
+        import time
 
         from repro.runtime.messages import Shutdown
         from repro.runtime.process_backend import _worker_loop
-        from repro.runtime.transport import WorkerEndpoint
+        from repro.runtime.transport import CentralChannels, WorkerEndpoint
 
-        tq, rq = queue.Queue(), queue.Queue()
-        for t in tasks:
-            tq.put(t)
-        tq.put(Shutdown())
-        sep = model.separable_part()
+        channels = CentralChannels(1)
+        worker = channels.open(0)
         endpoint = WorkerEndpoint(None)  # no result ring: every result inline
-        th = threading.Thread(
-            target=_worker_loop, args=(0, sep, pipeline, tq, rq, delay, endpoint), daemon=True
+        proc = mp.get_context("fork").Process(
+            target=_worker_loop,
+            args=(0, model.separable_part(), pipeline, worker, delay, endpoint),
+            daemon=True,
         )
-        th.start()
-        th.join(timeout=30)
-        assert not th.is_alive()
+        proc.start()
+        worker.close()
+        for t in tasks:
+            channels[0].send(t)
+        channels[0].send(Shutdown())
         results = []
-        while True:
-            try:
-                results.append(rq.get_nowait())
-            except queue.Empty:
-                break
+        deadline = time.monotonic() + 30
+        while channels.readers() and time.monotonic() < deadline:  # until EOF
+            channels.wait(1.0)
+            results.extend(channels.receive())
+        proc.join(timeout=5)
+        channels.close()
+        assert proc.exitcode == 0 and not channels.readers()
         return results
 
     @staticmethod
@@ -443,33 +448,27 @@ class TestWorkerCoalescing:
     def test_sweep_counts_dropped_results(self):
         """The collect loop counts a dropped marker once per tile and leaves
         the tiles unanswered (no entry lands in any image's results)."""
-        import queue
-
         from repro.runtime.messages import BatchResult
         from repro.telemetry import TelemetryRecorder
 
         tel = TelemetryRecorder()
         cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
-        rq = queue.Queue()
-        rq.put(BatchResult(image_id=0, tile_ids=(0, 1, 2), payload=None, worker=0, dropped=True))
-        cluster._result_queues.append(rq)
+        _post(cluster, [BatchResult(image_id=0, tile_ids=(0, 1, 2), payload=None, worker=0, dropped=True)])
         assert cluster._sweep_results({}) is True
+        cluster._channels.close()
         assert tel.metrics.counter_total("adcnn_worker_dropped_tasks_total") == 3.0
 
     def test_sweep_counts_corrupt_results(self):
         """Result bytes that do not parse are counted per tile under their
         own metric, not silently left for T_L to explain."""
-        import queue
-
         from repro.runtime.messages import BatchResult
         from repro.telemetry import TelemetryRecorder
 
         tel = TelemetryRecorder()
         cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
-        rq = queue.Queue()
         garbage = np.zeros(64, dtype=np.uint8)
-        rq.put(BatchResult(0, (0, 1), garbage, worker=0))
-        cluster._result_queues.append(rq)
+        _post(cluster, [BatchResult(0, (0, 1), garbage, worker=0)])
         assert cluster._sweep_results({}) is True
+        cluster._channels.close()
         assert tel.metrics.counter_total("adcnn_result_corrupt_total") == 2.0
 

@@ -125,19 +125,24 @@ class TestHotLoopFixes:
         assert res.ring_fallback is False
 
     def test_wait_results_blocks_then_wakes(self):
-        """The idle wait must block on the result-queue readers (no 5 ms
-        sleep floor) and wake as soon as any worker posts a result."""
+        """The idle wait must block on the result pipes (no 5 ms sleep
+        floor) and wake as soon as any worker posts a result."""
         model = small_model()
         with ProcessCluster(model, TileGrid(2, 2),
                             config=ProcessClusterConfig(num_workers=2)) as cluster:
             t0 = time.perf_counter()
             assert cluster._wait_results(0.2) is False  # nothing pending
             assert time.perf_counter() - t0 >= 0.15
-            cluster._result_queues[0].put("sentinel")
-            t0 = time.perf_counter()
-            assert cluster._wait_results(5.0) is True  # woke on the reader
-            assert time.perf_counter() - t0 < 1.0
-            assert cluster._result_queues[0].get(timeout=5.0) == "sentinel"
+            # Fresh pipes for worker 0, whose worker side this test holds.
+            worker = cluster._channels.open(0)
+            try:
+                worker.send("sentinel")
+                t0 = time.perf_counter()
+                assert cluster._wait_results(5.0) is True  # woke on the pipe
+                assert time.perf_counter() - t0 < 1.0
+                assert cluster._channels.receive() == ["sentinel"]
+            finally:
+                worker.close()
 
     def test_stream_engine_deadline_zero_fill(self):
         """T_L fires through the StreamEngine collect path (the formerly

@@ -1,10 +1,13 @@
-"""Tile transport tests: the slot arena and the one transport module.
+"""Tile transport tests: the slot arena, the worker pipes and the one
+transport module.
 
 Covers the slot lifecycle under faults: a worker killed mid-flight must not
 leak task slots (every slot is free again once the stream ends), a run on a
 host without shared memory (every message inline) must produce bit-identical
 outputs to the slot path, and shutdown must not trip the multiprocessing
-resource tracker's leaked-shared-memory warnings.
+resource tracker's leaked-shared-memory warnings.  The pipes must never let
+Central block on a worker: a send to a worker that is not reading returns at
+once, and frames larger than the pipe buffer flow both ways with no hang.
 """
 
 import multiprocessing as mp
@@ -12,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -22,11 +26,19 @@ from repro.compression import CompressionPipeline
 from repro.models import vgg_mini
 from repro.nn import Tensor, no_grad, try_compile
 from repro.partition import TileGrid
-from repro.partition.geometry import split_array
-from repro.runtime import ArenaGrant, BatchResult, ProcessCluster, ProcessClusterConfig, ShmRef, SlotArena
+from repro.partition.geometry import reassemble_array, split_array
+from repro.runtime import (
+    ArenaGrant,
+    BatchResult,
+    BatchTask,
+    ProcessCluster,
+    ProcessClusterConfig,
+    ShmRef,
+    SlotArena,
+)
 from repro.runtime.shm_arena import shm_available
 from repro.runtime.shm_arena import attach_array, close_attachments, write_array
-from repro.runtime.transport import RESULT_RING_SLOTS, CentralEndpoint
+from repro.runtime.transport import RESULT_RING_SLOTS, CentralChannels, CentralEndpoint
 from repro.telemetry import TelemetryRecorder
 
 RNG = np.random.default_rng(47)
@@ -126,10 +138,8 @@ def central_endpoint(num_workers=2):
 
 def granted_worker(central, worker_id, slot_nbytes):
     """A worker endpoint holding a freshly granted result ring."""
-    tq = mp.get_context("fork").Queue()
     worker = central.worker_endpoint(worker_id)
-    central.grant_ring(worker_id, slot_nbytes, tq)
-    grant = tq.get(timeout=5.0)
+    grant = central.grant_ring(worker_id, slot_nbytes)
     worker.accept(grant)
     return worker, grant
 
@@ -241,8 +251,7 @@ class TestEndpoints:
             new = central.worker_endpoint(0)  # respawn: fresh semaphore, no ring yet
             assert central.needs_ring(0) and stale.payload.name not in shm_segments()
             assert central.materialize(stale) is None
-            central.grant_ring(0, 1024, tq := mp.get_context("fork").Queue())
-            new.accept(tq.get(timeout=5.0))
+            new.accept(central.grant_ring(0, 1024))
             assert central.materialize(stale) is None
             try:
                 staged = [new.stage_result(block) for _ in range(RESULT_RING_SLOTS + 1)]
@@ -313,32 +322,32 @@ class TestTransportEquivalence:
 
     def test_one_task_and_one_result_message_per_batch(self, monkeypatch):
         """The controller's batch is the wire unit: every SendBatch to a worker
-        puts exactly one task message, answered by exactly one result message
-        — counted on the queues, whatever the feeder threads' timing."""
+        sends exactly one task frame, answered by exactly one result frame
+        — counted on each worker's channel."""
         from repro.runtime.controller import SendBatch
 
-        class CountingQueue:
-            def __init__(self, q):
-                self._q, self.put_msgs, self.got_msgs = q, [], []
+        class Counting:
+            """Records every frame one worker's channel sends and receives."""
 
-            def put(self, msg):
-                self.put_msgs.append(msg)
-                self._q.put(msg)
+            def __init__(self, channel):
+                self.put_msgs, self.got_msgs = [], []
+                send, receive = channel.send, channel.receive
 
-            def get_nowait(self):
-                msg = self._q.get_nowait()
-                self.got_msgs.append(msg)
-                return msg
+                def counted_send(msg):
+                    self.put_msgs.append(msg)
+                    send(msg)
 
-            def __getattr__(self, name):
-                return getattr(self._q, name)
+                def counted_receive():
+                    msgs = receive()
+                    self.got_msgs.extend(msgs)
+                    return msgs
+
+                channel.send, channel.receive = counted_send, counted_receive
 
         cfg = ProcessClusterConfig(num_workers=2)
         with ProcessCluster(small_model(), TileGrid(2, 2), CompressionPipeline(bits=4), cfg) as cluster:
             cluster.infer(images(1)[0])  # the ring grants ride the first image's batches
-            tasks = [CountingQueue(q) for q in cluster._task_queues]
-            results = [CountingQueue(q) for q in cluster._result_queues]
-            cluster._task_queues[:], cluster._result_queues[:] = tasks, results
+            counted = [Counting(cluster._channels[wid]) for wid in range(2)]
             batches = []
             handle = cluster._controller.handle
 
@@ -353,8 +362,8 @@ class TestTransportEquivalence:
             assert sum(b.count for b in batches) == 5 * 4
             for wid in range(2):
                 mine = [(b.image_id, b.count) for b in batches if b.node == wid]
-                assert [(m.image_id, len(m.tile_ids)) for m in tasks[wid].put_msgs] == mine
-                assert [(m.image_id, len(m.tile_ids)) for m in results[wid].got_msgs] == mine
+                assert [(m.image_id, len(m.tile_ids)) for m in counted[wid].put_msgs] == mine
+                assert [(m.image_id, len(m.tile_ids)) for m in counted[wid].got_msgs] == mine
 
     def test_no_ring_fallback_on_the_steady_compute_shape(self):
         """96x96 / 4x4 / 2 workers / window 2 (the ledger's steady_compute):
@@ -506,6 +515,131 @@ class TestFaultIntegration:
             stacked = separable(Tensor(np.concatenate(split_array(x, TileGrid(2, 2))))).data
         expected = pipe.compress_packed(stacked).wire_bits
         assert tel.metrics.counter_value("adcnn_bits_wire_total", direction="down") == expected
+
+
+def finishes(fn, timeout):
+    """Run ``fn`` on a daemon thread; its result, or fail when it hangs."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still blocked after {timeout} s"
+    return out[0]
+
+
+#: A Linux pipe's default buffer: frames above it cannot fit in one write.
+PIPE_BUFFER = 1 << 16
+
+
+class TestChannels:
+    """The worker pipes, driven without a cluster."""
+
+    def test_send_to_a_worker_not_reading_returns_at_once(self):
+        """Central's writer never blocks: frames the pipe cannot take wait in
+        the outbox and reach the worker intact and in order once it reads."""
+        channels = CentralChannels(1)
+        worker = channels.open(0)
+        blocks = [RNG.standard_normal((4, 3, 64, 64)).astype(np.float32) for _ in range(5)]
+        assert blocks[0].nbytes > PIPE_BUFFER
+        try:
+            for i, block in enumerate(blocks):  # nobody reads yet
+                finishes(lambda i=i, block=block: channels[0].send(BatchTask(i, (0, 1, 2, 3), block)), 5.0)
+            assert channels[0]._outbox  # the pipe took 64 KB; the rest waits
+            got = []
+            reader = threading.Thread(target=lambda: got.extend(worker.recv() for _ in blocks), daemon=True)
+            reader.start()
+            deadline = time.monotonic() + 10.0
+            while reader.is_alive() and time.monotonic() < deadline:
+                channels.wait(0.1)
+                assert channels.receive() == []  # flushes the outbox as the pipe drains
+            assert not reader.is_alive() and not channels[0]._outbox
+            assert [t.image_id for t in got] == list(range(len(blocks)))
+            for task, block in zip(got, blocks):
+                np.testing.assert_array_equal(task.block, block)
+        finally:
+            worker.close()
+            channels.close()
+
+    def test_worker_death_reads_as_eof_and_epipe(self):
+        """Each pipe end lives in one process: once the worker side closes,
+        Central's read sees EOF (the fd leaves the poll set) and its next
+        write sees EPIPE — neither raises nor blocks."""
+        channels = CentralChannels(1)
+        worker = channels.open(0)
+        worker.send(BatchResult(0, (0,), np.ones(4, dtype=np.float32), worker=0))
+        worker.close()
+        try:
+            (res,) = channels.receive()
+            assert res.tile_ids == (0,)
+            assert channels.receive() == [] and channels.readers() == []  # EOF
+            channels[0].send(BatchTask(0, (0,), np.ones((1, 1, 2, 2), dtype=np.float32)))
+            assert channels[0].task_fd == -1 and not channels[0]._outbox
+        finally:
+            channels.close()
+
+
+def pipe_ends(pid, inodes):
+    """How many of process ``pid``'s fds refer to each pipe in ``inodes``."""
+    counts = dict.fromkeys(inodes, 0)
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed while listing
+        if link.startswith("pipe:[") and int(link[6:-1]) in counts:
+            counts[int(link[6:-1])] += 1
+    return counts
+
+
+def test_each_pipe_end_lives_in_one_process():
+    """Central holds exactly its two ends per worker and each worker exactly
+    its own two — no worker keeps another's (or its own Central-side) end,
+    across a respawn too — so a worker's death is EOF/EPIPE at Central."""
+    cfg = ProcessClusterConfig(num_workers=2, max_restarts=1, restart_backoff=0.0, probe_interval=1)
+    with ProcessCluster(small_model(), TileGrid(2, 2), None, cfg) as cluster:
+        cluster.infer(images(1)[0])  # both workers are running their loops
+        for respawned in (False, True):
+            if respawned:
+                cluster.kill_worker(0)
+                for img in images(20):  # until the successor has served a tile
+                    if cluster.infer(img).received_per_worker[0] and cluster.restart_counts[0]:
+                        break
+                assert cluster.restart_counts == [1, 0]
+            chans = [cluster._channels[wid] for wid in range(2)]
+            ends = [(os.fstat(c.task_fd).st_ino, os.fstat(c.result_fd).st_ino) for c in chans]
+            inodes = [ino for pair in ends for ino in pair]
+            assert set(pipe_ends(os.getpid(), inodes).values()) == {1}
+            for wid, proc in enumerate(cluster._procs):
+                want = dict.fromkeys(inodes, 0) | dict.fromkeys(ends[wid], 1)
+                assert pipe_ends(proc.pid, inodes) == want
+
+
+class TestLargeFramesWithoutShm:
+    def test_window_three_slow_worker_no_hang_bit_identical(self, monkeypatch):
+        """The case the feeder thread once covered: no shared memory, no
+        codec, and task and result frames both larger than the pipe buffer,
+        three images in flight and one slow worker.  Central must neither
+        block on a full task pipe nor starve a worker blocked writing its
+        result, and every image must match the in-process reference."""
+        monkeypatch.setattr("repro.runtime.transport.shm_available", lambda: False)
+        model = vgg_mini(num_classes=3, input_size=128, base_width=8, separable_prefix=4).eval()
+        grid = TileGrid(2, 2)
+        imgs = [RNG.normal(size=(1, 3, 128, 128)).astype(np.float32) for _ in range(6)]
+        fused, rest = try_compile(model.separable_part()), try_compile(model.rest_part())
+        expected = [
+            rest(reassemble_array(np.split(fused(np.concatenate(split_array(x, grid))), 4), grid))
+            for x in imgs
+        ]
+        tile = split_array(imgs[0], grid)[0]
+        assert 2 * tile.nbytes > PIPE_BUFFER and 2 * fused(tile).nbytes > PIPE_BUFFER
+        cfg = ProcessClusterConfig(num_workers=2, t_limit=60.0, delay_per_tile=(0.0, 0.02))
+        with ProcessCluster(model, grid, None, cfg) as cluster:
+            assert cluster.transport == "pickle"
+            outcomes = finishes(lambda: cluster.infer_stream(imgs, pipeline_depth=3), 120.0)
+        assert max(max(o.allocation) for o in outcomes) >= 2  # multi-tile batches crossed
+        for outcome, want in zip(outcomes, expected):
+            assert outcome.zero_filled_tiles == [] and outcome.locally_computed_tiles == []
+            np.testing.assert_array_equal(outcome.output, want)
 
 
 @needs_shm
