@@ -71,7 +71,7 @@ class PackedStream:
 
     ``buffer`` is self-describing (the header carries shape/value_bits/
     run_bits), so :meth:`from_buffer` reconstructs everything from bytes
-    alone — which is exactly what crosses a shared-memory slot or socket.
+    alone — which is exactly what crosses a worker pipe or a socket.
     """
 
     buffer: np.ndarray  # 1-D uint8, header + sections
@@ -160,7 +160,7 @@ def max_packed_nbytes(num_elements: int, ndim: int, value_bits: int = 4, run_bit
 
     At most one token per element, each token at most
     ``1 + max(value_bits, run_bits)`` bits wide, plus header and the three
-    section paddings — a safe bound for sizing shared-memory slots.
+    section paddings — a safe bound for sizing a result pipe.
     """
     widest = max(value_bits, run_bits)
     return _header_nbytes(ndim) + (num_elements * (1 + widest) + 7) // 8 + 3

@@ -1,10 +1,10 @@
 """Project-invariant static analysis for the ADCNN runtime (DESIGN.md §5e, §5j).
 
-Run as ``python -m repro.lint [paths...]``.  Per-file rules RL001–RL010
-and the CFG-based RL014 check cross-process invariants (fork safety,
-queue-message hygiene, shm slot lifecycle, telemetry discipline, numeric
-hygiene, worker targets, import-time effects, controller authority,
-metric naming) one module at a time; the whole-program phase
+Run as ``python -m repro.lint [paths...]``.  Per-file rules RL001, RL002,
+RL004–RL010 and RL016 check cross-process invariants (fork safety,
+queue-message hygiene, telemetry discipline, numeric hygiene, worker
+targets, import-time effects, controller authority, metric naming, one
+forward per batch, cluster construction) one module at a time; the whole-program phase
 (:mod:`repro.lint.flow`) then checks RL011 protocol exhaustiveness,
 RL012 IPC message-flow conformance, RL013 async-blocking reachability,
 and RL015 metric orphans over the assembled

@@ -1,9 +1,9 @@
 """Shared AST visitor framework for the project linter (DESIGN.md §5e).
 
 The runtime's correctness rests on cross-process invariants — fork-safe
-module state, picklable queue messages, paired shared-memory lifecycles,
-a closed telemetry schema — that ordinary linters cannot see.  ``repro.lint``
-encodes them as AST rules sharing a single tree walk per file:
+module state, picklable queue messages, a closed telemetry schema — that
+ordinary linters cannot see.  ``repro.lint`` encodes them as AST rules
+sharing a single tree walk per file:
 
 - every :class:`Rule` registers for a set of path scopes (``include``
   fragments matched against the file's POSIX path);
@@ -17,7 +17,7 @@ Suppression syntax is position-precise: a trailing comment shields *its
 own* line only, a comment-only line shields the *next* line only::
 
     something_flagged()  # repro-lint: disable=RL001
-    # repro-lint: disable=RL003,RL004
+    # repro-lint: disable=RL002,RL004
     call_that_needs_both()
 
 A file-level opt-out for one code, placed anywhere in the first 20 lines::
@@ -64,6 +64,9 @@ __all__ = [
 DEFAULT_EXCLUDED_DIRS = frozenset(
     {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "_lint_fixtures", ".ruff_cache"}
 )
+
+#: The module that declares every wire message; RL002 reads it from source.
+MESSAGES_MODULE = Path(__file__).resolve().parents[1] / "runtime" / "messages.py"
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9, ]+)")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Z0-9, ]+)")
@@ -377,12 +380,14 @@ def _sha256(text: str) -> str:
 
 
 def _analyzer_digest() -> str:
-    """Hash of the linter's own sources: any change to the analyzer
-    invalidates every cache entry (rules may report differently)."""
+    """Hash of the linter's own sources and of the message module RL002
+    reads: any change to either invalidates every cache entry (rules may
+    report differently)."""
     h = hashlib.sha256()
-    for src in sorted(Path(__file__).parent.glob("*.py")):
+    for src in [*sorted(Path(__file__).parent.glob("*.py")), MESSAGES_MODULE]:
         h.update(src.name.encode())
-        h.update(src.read_bytes())
+        if src.is_file():
+            h.update(src.read_bytes())
     return h.hexdigest()
 
 

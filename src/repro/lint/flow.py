@@ -250,10 +250,9 @@ class BlockingCallRule(ProjectRule):
     ``repro.serving`` bridges asyncio clients onto the thread-based driver
     loop; the contract (DESIGN.md §5g) is that *everything* blocking lives
     on the driver thread and coroutines touch only non-blocking submission
-    plus ``asyncio.wrap_future``.  A ``queue.Queue.get``, ``time.sleep``,
-    ``multiprocessing.connection.wait`` or shm attach reached from a
-    coroutine stalls the entire event loop — every client session, not
-    just the caller.  The walk: conservative call graph from each
+    plus ``asyncio.wrap_future``.  A ``queue.Queue.get``, ``time.sleep`` or
+    ``multiprocessing.connection.wait`` reached from a coroutine stalls the
+    entire event loop — every client session, not just the caller.  The walk: conservative call graph from each
     ``async def`` in ``repro/serving`` (callee name -> every project
     function of that name), flagging recorded blocking sites.  Handing a
     callable to ``asyncio.to_thread``/``run_in_executor`` is naturally
@@ -324,8 +323,6 @@ class BlockingCallRule(ProjectRule):
             return f"queue get on {recv!r}"
         if name == "wait" and "connection" in (recv + dotted.lower()):
             return "multiprocessing.connection.wait()"
-        if name in ("attach_slot", "attach_array") or name == "SharedMemory":
-            return f"shared-memory attach ({name})"
         return None
 
 

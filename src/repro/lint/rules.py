@@ -1,4 +1,4 @@
-"""The per-file rule set (RL001–RL010 plus CFG-based RL014), one class per code.
+"""The per-file rule set (RL001, RL002, RL004–RL010, RL016), one class per code.
 
 Each rule encodes an invariant the distributed runtime depends on; see
 DESIGN.md §5e for the failure mode behind every code.  Rules are scoped by
@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import ast
 import re
+from pathlib import Path
 
-from .core import ModuleContext, Rule, Walker
+from .core import MESSAGES_MODULE, ModuleContext, Rule, Walker
 
 __all__ = ["default_rules", "RULE_CLASSES"]
 
@@ -59,11 +60,25 @@ STAGE_CONSTANT_NAMES = frozenset(
     }
 )
 
-#: Dataclasses allowed to cross a multiprocessing queue, declared in
-#: ``runtime/messages.py``.  ``BatchTask``/``BatchResult`` are the data-path
-#: messages (ndarray payloads allowed); the rest are control-path.
-MESSAGE_CLASSES = frozenset({"BatchTask", "BatchResult", "ArenaGrant", "Shutdown"})
-DATA_MESSAGE_CLASSES = frozenset({"BatchTask", "BatchResult"})
+
+def _declared_messages(path: Path) -> tuple[frozenset[str], frozenset[str]]:
+    """``(every message, the data-path messages)`` declared in ``path``: its
+    top-level dataclasses, and the names its ``DATA_MESSAGES`` tuple lists
+    (the only messages whose fields may hold an ndarray)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    messages: set[str] = set()
+    data: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            _dotted(d.func if isinstance(d, ast.Call) else d).rsplit(".", 1)[-1] == "dataclass"
+            for d in node.decorator_list
+        ):
+            messages.add(node.name)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "DATA_MESSAGES" for t in node.targets
+        ) and isinstance(node.value, ast.Tuple):
+            data.update(e.id for e in node.value.elts if isinstance(e, ast.Name))
+    return frozenset(messages), frozenset(data)
 
 
 def _dotted(node: ast.AST) -> str:
@@ -83,22 +98,6 @@ def _receiver_text(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - unparse is total on valid trees
         return ""
-
-
-def _function_body_nodes(fn: ast.AST) -> list[ast.AST]:
-    """Every node in a function body, nested function/lambda bodies excluded
-    (they get their own per-function scan when the walker reaches them)."""
-    out: list[ast.AST] = []
-
-    def rec(n: ast.AST) -> None:
-        for child in ast.iter_child_nodes(n):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            out.append(child)
-            rec(child)
-
-    rec(fn)
-    return out
 
 
 # ---------------------------------------------------------------------- RL001
@@ -206,6 +205,10 @@ class QueueMessageRule(Rule):
     #: Receivers whose name holds one of these are queues or channels.
     _QUEUE_FRAGMENTS = ("queue", "channel")
 
+    def __init__(self) -> None:
+        #: The message set, read from ``runtime/messages.py`` — never restated.
+        self.messages, self.data_messages = _declared_messages(MESSAGES_MODULE)
+
     def visit(self, node: ast.AST, ctx: ModuleContext, walker: Walker) -> None:
         if ctx.posix_path.endswith("messages.py"):
             if isinstance(node, ast.ClassDef) and not walker.scope_stack:
@@ -233,15 +236,15 @@ class QueueMessageRule(Rule):
                 f"queue message {node.name} must be @dataclass(frozen=True, slots=True) "
                 "(immutable, no __dict__, stable pickle layout)",
             )
-        if node.name not in DATA_MESSAGE_CLASSES:
+        if node.name not in self.data_messages:
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and "ndarray" in _receiver_text(stmt.annotation):
                     ctx.report(
                         self.code,
                         stmt,
                         f"control-path message {node.name} carries a raw ndarray field "
-                        "(bulk data belongs on the data path: BatchTask/BatchResult or an "
-                        "ShmRef descriptor)",
+                        "(bulk data belongs on the data path: "
+                        f"{'/'.join(sorted(self.data_messages))})",
                     )
 
     def _check_put(self, node: ast.Call, ctx: ModuleContext) -> None:
@@ -266,81 +269,13 @@ class QueueMessageRule(Rule):
             return
         if isinstance(arg, ast.Call):
             name = _dotted(arg.func).rsplit(".", 1)[-1]
-            if name and name[0].isupper() and name not in MESSAGE_CLASSES:
+            if name and name[0].isupper() and name not in self.messages:
                 ctx.report(
                     self.code,
                     arg,
                     f"{name} enqueued on an mp queue or channel but is not declared in "
                     "runtime/messages.py",
                 )
-
-
-# ---------------------------------------------------------------------- RL003
-class ShmPairingRule(Rule):
-    """SlotArena acquire/release and SharedMemory close/unlink must pair.
-
-    An acquired slot that is neither released nor stored in a tracking
-    structure leaks arena capacity until shutdown; an ``unlink`` without a
-    ``close`` in the same function trips the resource tracker.  Direct
-    ``SharedMemory`` construction outside ``shm_arena.py`` bypasses the
-    single-owner lifecycle (Central creates/unlinks, workers only attach).
-    """
-
-    code = "RL003"
-    name = "shm-slot-pairing"
-    description = "paired shm slot acquire/release and close/unlink lifecycles"
-    include = ("repro/runtime",)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext, walker: Walker) -> None:
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name.rsplit(".", 1)[-1] == "SharedMemory" and not ctx.posix_path.endswith(
-                "shm_arena.py"
-            ):
-                ctx.report(
-                    self.code,
-                    node,
-                    "direct SharedMemory construction outside shm_arena.py (attach via "
-                    "shm_arena.attach_array/attach_bytes so ownership and cleanup stay "
-                    "in one place)",
-                )
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._check_function(node, ctx)
-
-    def _check_function(self, fn: ast.AST, ctx: ModuleContext) -> None:
-        acquires: list[ast.Call] = []
-        unlinks: list[ast.Call] = []
-        has_release = has_close = has_subscript_store = False
-        for node in _function_body_nodes(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                attr = node.func.attr
-                recv = _receiver_text(node.func.value).lower()
-                if attr == "acquire" and "arena" in recv:
-                    acquires.append(node)
-                elif attr == "release":
-                    has_release = True
-                elif attr == "unlink":
-                    unlinks.append(node)
-                elif attr == "close":
-                    has_close = True
-            elif isinstance(node, ast.Assign):
-                if any(isinstance(t, ast.Subscript) for t in node.targets):
-                    has_subscript_store = True
-        fn_name = getattr(fn, "name", "<lambda>")
-        if acquires and not (has_release or has_subscript_store):
-            ctx.report(
-                self.code,
-                acquires[0],
-                f"arena slot acquired in {fn_name}() but neither released nor stored "
-                "for later release (slot leaks on every control path)",
-            )
-        if unlinks and not has_close:
-            ctx.report(
-                self.code,
-                unlinks[0],
-                f"SharedMemory.unlink() without close() in {fn_name}() (leaks the "
-                "mapping and trips the resource tracker)",
-            )
 
 
 # ---------------------------------------------------------------------- RL004
@@ -787,44 +722,6 @@ class TileLoopForwardRule(Rule):
         return out
 
 
-# ---------------------------------------------------------------------- RL014
-class ShmLifecycleRule(Rule):
-    """CFG-based shm slot lifecycle: every acquire resolved on every path.
-
-    The path-sensitive upgrade of RL003: instead of asking "does a release
-    or ledger store appear *somewhere* in this function", build the
-    function's control-flow graph (:mod:`repro.lint.cfg`) and require that
-    *every* execution path from an ``arena.acquire()`` site to function
-    exit either releases the slot, stores it into a ledger the sweep can
-    reclaim from, or returns it to the caller.  An early ``return`` or an
-    exception-free fall-through that drops the slot leaks arena capacity
-    until restart — the failure RL003's syntactic pairing could only catch
-    when the function had *no* release at all.  ``try/finally`` and
-    ``if slot is None`` guards are understood; re-raising paths through a
-    bare ``try`` are conservatively treated as resolved only when a
-    ``finally`` (or the handler itself) resolves the slot.
-    """
-
-    code = "RL014"
-    name = "shm-lifecycle-cfg"
-    description = "path-sensitive arena acquire/release pairing over the CFG"
-    include = ("repro/runtime",)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext, walker: Walker) -> None:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        from .cfg import leaked_acquires
-
-        for site, description in leaked_acquires(node):
-            ctx.report(
-                self.code,
-                site,
-                f"shm slot from this acquire() can leak: {description} "
-                "(release it, store it in a reclaimable ledger, or return "
-                "it on every path — use try/finally for exception paths)",
-            )
-
-
 # ---------------------------------------------------------------------- RL016
 class ClusterConstructionRule(Rule):
     """Driver tiers never construct clusters directly (DESIGN.md §5k):
@@ -869,7 +766,6 @@ class ClusterConstructionRule(Rule):
 RULE_CLASSES: tuple[type[Rule], ...] = (
     ForkSafetyRule,
     QueueMessageRule,
-    ShmPairingRule,
     TelemetryDisciplineRule,
     NumericHygieneRule,
     WorkerTargetRule,
@@ -877,7 +773,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     ControllerAuthorityRule,
     MetricNameRule,
     TileLoopForwardRule,
-    ShmLifecycleRule,
     ClusterConstructionRule,
 )
 

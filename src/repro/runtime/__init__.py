@@ -10,7 +10,7 @@ from .controller import (
     replay,
 )
 from .deployment import ADCNNDeployment
-from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown
+from .messages import LOCAL_WORKER, BatchResult, BatchTask, Shutdown
 from .policies import (
     AllocationPolicy,
     AllocationRequest,
@@ -22,7 +22,6 @@ from .policies import (
 from .arrivals import burst_arrival_times, poisson_arrival_times, uniform_arrival_times
 from .process_backend import InferenceOutcome, ProcessCluster, ProcessClusterConfig, StreamEngine
 from .scheduler import SchedulingError, StatisticsCollector, allocate_tiles
-from .shm_arena import ShmRef, SlotArena
 from .system import ADCNNConfig, ADCNNSystem, ImageRecord, MediumQueue, OpenLoopResult
 from .workload import ADCNNWorkload
 from .zero_fill import accuracy_under_tile_loss, forward_with_missing_tiles
@@ -51,9 +50,6 @@ __all__ = [
     "BatchTask",
     "BatchResult",
     "Shutdown",
-    "ArenaGrant",
-    "ShmRef",
-    "SlotArena",
     "LOCAL_WORKER",
     "ProcessCluster",
     "ProcessClusterConfig",

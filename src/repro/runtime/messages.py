@@ -33,9 +33,7 @@ import numpy as np
 
 from repro.telemetry.trace import TraceContext
 
-from .shm_arena import ShmRef
-
-__all__ = ["BatchTask", "BatchResult", "Shutdown", "ArenaGrant", "LOCAL_WORKER"]
+__all__ = ["BatchTask", "BatchResult", "Shutdown", "LOCAL_WORKER"]
 
 #: Sentinel worker id for tiles the Central node computed itself (graceful
 #: degradation when no Conv node can accept work).
@@ -46,13 +44,9 @@ LOCAL_WORKER = -1
 class BatchTask:
     """The input tiles of one image dispatched to one Conv node.
 
-    The data travels one of two ways, chosen per message by
-    :mod:`repro.runtime.transport`: by reference (``slot`` describes the
-    shared-memory slot holding the image's whole tile-major stack
-    ``(tiles, N, C, h, w)``, so the frame carries only this small descriptor
-    and the worker computes from a zero-copy view of rows ``tile_ids``) or
-    inline (``block`` is the batch's tiles stacked ``(k·N, C, h, w)``,
-    pickled with the message) when no slot is available.
+    ``block`` is the batch's tiles stacked ``(k·N, C, h, w)`` in
+    ``tile_ids`` order, pickled into the message's frame
+    (:mod:`repro.runtime.transport`).
 
     ``probe`` marks a recovery probe: a single tile handed to a node whose
     ``s_k`` statistic has decayed to zero so it can demonstrate it is
@@ -67,16 +61,13 @@ class BatchTask:
 
     image_id: int
     tile_ids: tuple[int, ...]
-    block: np.ndarray | None = None
+    block: np.ndarray
     probe: bool = False
-    slot: ShmRef | None = None
     trace: TraceContext | None = None
 
     def __post_init__(self) -> None:
         if self.image_id < 0 or not self.tile_ids or min(self.tile_ids) < 0:
             raise ValueError("a batch needs a non-negative image id and tile ids")
-        if (self.block is None) == (self.slot is None):
-            raise ValueError("a batch needs either an inline block or a slot descriptor")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,62 +79,35 @@ class BatchResult:
     ``(k·N, C', h', w')`` encoded as one packed ``uint8`` stream (wire
     format v1, whose header records that shape; zero runs continue across
     tile boundaries); with it off, the raw stacked output itself.  Tile
-    ``tile_ids[i]`` is rows ``[i·N, (i+1)·N)`` of the decoded block.  In the
-    frame the buffer may be replaced by the :class:`ShmRef` of the one
-    result-ring slot holding it, which the Central node materializes back
-    before accepting any tile.  ``None`` only on a ``dropped`` marker.
+    ``tile_ids[i]`` is rows ``[i·N, (i+1)·N)`` of the decoded block.  The
+    Central node parses a ``uint8`` payload as a packed stream before it
+    accepts any tile.
 
     Timing is measured worker-side on ``time.perf_counter()``
     (CLOCK_MONOTONIC — comparable across forked processes on Linux, so the
     Central node can place worker spans on a shared timeline): ``t_start``
-    is the dequeue stamp, ``forward_seconds`` the one stacked forward (slot
-    attach and emulated delay included) and ``compress_seconds`` the one
-    encode plus the one slot write.  They are the batch's own timings, and
-    the Central node traces them as one span per stage carrying ``tiles=k``
-    — no tile has a timing of its own.
-
-    ``ring_fallback`` marks a batch whose bytes *could* have used the
-    worker's result ring but shipped inline because every slot was still
-    held by the Central node (back-pressure); the collect loop counts these
-    so benchmarks can see ring exhaustion under load.
-
-    ``dropped`` marks a *non*-result: the worker could not attach the
-    batch's shm slot because it was unlinked under it (shutdown race), so
-    nothing was computed and ``payload`` is ``None``.  The collect loop
-    counts one ``adcnn_worker_dropped_tasks_total`` per tile instead of
-    treating them as answers — the tiles stay unanswered and follow the
-    normal re-dispatch/zero-fill path.
+    is the dequeue stamp, ``forward_seconds`` the one stacked forward
+    (emulated delay included) and ``compress_seconds`` the one encode.  They
+    are the batch's own timings, and the Central node traces them as one
+    span per stage carrying ``tiles=k`` — no tile has a timing of its own.
     """
 
     image_id: int
     tile_ids: tuple[int, ...]
-    payload: np.ndarray | ShmRef | None
+    payload: np.ndarray
     worker: int
     t_start: float = 0.0
     forward_seconds: float = 0.0
     compress_seconds: float = 0.0
-    ring_fallback: bool = False
-    dropped: bool = False
     #: Echo of the dispatching task's trace context (``None`` when tracing is off).
     trace: TraceContext | None = None
 
 
 @dataclass(frozen=True, slots=True)
-class ArenaGrant:
-    """Control message granting a worker its result-slot ring.
-
-    Sent through the task pipe before any :class:`BatchTask` that expects
-    shared-memory results: ``slot_names`` are Central-created segments the
-    worker cycles through (``cursor % len(slot_names)``), gated by a
-    fork-inherited semaphore of the same size.  A respawned worker gets a
-    fresh grant (fresh ring + fresh semaphore), mirroring the fresh-pipe
-    respawn rule.
-    """
-
-    slot_names: tuple[str, ...]
-    slot_nbytes: int
-
-
-@dataclass(frozen=True, slots=True)
 class Shutdown:
     """Sentinel telling a Conv-node worker to exit."""
+
+
+#: The data-path messages: the only ones whose fields may hold an ndarray.
+#: Lint rule RL002 reads this tuple and the dataclasses above from source.
+DATA_MESSAGES = (BatchTask, BatchResult)

@@ -52,7 +52,7 @@ from typing import Any, TypedDict
 import numpy as np
 
 import repro.nn as nn
-from repro.compression import CompressionPipeline, PackedTensor, max_packed_nbytes
+from repro.compression import CompressionPipeline, PackedStream, PackedTensor, max_packed_nbytes
 from repro.models.blocks import PartitionableCNN
 from repro.nn import blas
 from repro.partition.geometry import (
@@ -97,9 +97,9 @@ from .controller import (
     WorkerDied,
     WorkerRevived,
 )
-from .messages import LOCAL_WORKER, ArenaGrant, BatchResult, BatchTask, Shutdown
+from .messages import LOCAL_WORKER, BatchResult, BatchTask, Shutdown
 from .policies import AllocationPolicy
-from .transport import CentralChannels, CentralEndpoint, WorkerChannel, WorkerEndpoint
+from .transport import CentralChannels, WorkerChannel
 
 class _ImageState(TypedDict):
     """Per-image in-flight bookkeeping (tiles, assignment map, results, timing).
@@ -139,23 +139,15 @@ def _worker_loop(
     pipeline: CompressionPipeline | None,
     channel: WorkerChannel,
     delay_per_tile: float,
-    endpoint: WorkerEndpoint,
 ) -> None:
     """Conv-node main loop (runs in a forked child process).
 
     The batch is the message (DESIGN.md §5i): every :class:`BatchTask` is
-    answered by exactly one :class:`BatchResult`.  Its input block is read
-    from, and its results staged through, the worker's transport
-    ``endpoint`` (:mod:`repro.runtime.transport`); the block runs as one
-    stacked forward (identically-shaped tiles) through the compiled no-grad
-    chain, with the emulated per-tile delay scaled by the batch size, and
-    the stacked output is then encoded as one codec stream (pipeline on) or
-    shipped raw (pipeline off).
-
-    A batch whose block cannot be read (its slot was unlinked under us in a
-    shutdown race) produces a ``dropped`` marker instead of vanishing
-    silently, so the Central node can count it; the tiles themselves stay
-    unanswered and follow the normal re-dispatch/zero-fill path.
+    answered by exactly one :class:`BatchResult`.  The task's stacked block
+    runs as one forward (identically-shaped tiles) through the compiled
+    no-grad chain, with the emulated per-tile delay scaled by the batch
+    size, and the stacked output is then encoded as one codec stream
+    (pipeline on) or shipped raw (pipeline off), in the result's frame.
 
     The worker runs one thread: it reads tasks from, and writes results to,
     its two pipes itself (``channel``).  It exits on :class:`Shutdown`, on
@@ -169,27 +161,15 @@ def _worker_loop(
             msg = channel.recv()
             if msg is None or isinstance(msg, Shutdown):
                 break
-            if isinstance(msg, ArenaGrant):
-                endpoint.accept(msg)
-                continue
             assert isinstance(msg, BatchTask)
             t_start = time.perf_counter()
-            k = len(msg.tile_ids)
-            block = endpoint.read(msg)
-            if block is None:
-                channel.send(
-                    BatchResult(msg.image_id, msg.tile_ids, None, worker_id,
-                                dropped=True, trace=msg.trace)
-                )
-                continue
             if delay_per_tile > 0:
                 # Emulated slow device (cpulimit stand-in), one sleep for
                 # the whole batch: k tiles cost k * delay.
-                time.sleep(delay_per_tile * k)
-            out_block = fused(block)
+                time.sleep(delay_per_tile * len(msg.tile_ids))
+            out_block = fused(msg.block)
             t_forward = time.perf_counter()
-            result = out_block if pipeline is None else pipeline.compress_packed(out_block).packed.buffer
-            payload, ring_fallback = endpoint.stage_result(result)
+            payload = out_block if pipeline is None else pipeline.compress_packed(out_block).packed.buffer
             channel.send(
                 BatchResult(
                     image_id=msg.image_id,
@@ -199,14 +179,12 @@ def _worker_loop(
                     t_start=t_start,
                     forward_seconds=t_forward - t_start,
                     compress_seconds=time.perf_counter() - t_forward,
-                    ring_fallback=ring_fallback,
                     trace=msg.trace,
                 )
             )
     except BrokenPipeError:
         return  # Central closed the result pipe: the cluster is stopping
     finally:
-        endpoint.close()
         channel.close()
 
 
@@ -309,17 +287,15 @@ class ProcessCluster:
         #: before a ``WorkerDied`` event, consumed by ``Redispatch`` commands.
         self._redispatch_tids: dict[int, list[int]] = {}
         self._ctx = mp.get_context("fork")
-        #: Central's ends of every worker's task and result pipes.
-        self._channels = CentralChannels(self.config.num_workers)
+        #: Central's ends of every worker's task and result pipes, each pipe
+        #: sized for its largest frame.
+        self._channels = CentralChannels(self.config.num_workers, *self._frame_nbytes())
         self._procs: list[mp.Process] = []
         self._delays: tuple[float, ...] = ()
         self._image_counter = 0
         self._known_dead: set[int] = set()
         self._restart_counts: list[int] = []
         self._restart_at: list[float | None] = []
-        #: The Central half of the tile transport: the only thing here that
-        #: knows whether a tile rides a shared-memory slot or the frame.
-        self._endpoint = CentralEndpoint(self._ctx, self.config.num_workers)
 
     # ------------------------------------------------------------- controller
     def controller_config(self) -> ControllerConfig:
@@ -365,16 +341,30 @@ class ProcessCluster:
         self._known_dead = set()
         self._restart_counts = [0] * self.config.num_workers
         self._restart_at = [None] * self.config.num_workers
-        self._endpoint.probe()
         for wid in range(self.config.num_workers):
             self._procs.append(self._spawn(wid))
         return self
 
     @property
     def transport(self) -> str:
-        """How tile bytes travel, as the latest :meth:`start` observed it — not a
-        setting; the inline label before any start (``CentralEndpoint.label``)."""
-        return self._endpoint.label
+        """How tile bytes travel: always ``"pipe"``, one pickled frame per
+        batch on the worker's pipes (DESIGN.md §5d)."""
+        return "pipe"
+
+    def _frame_nbytes(self) -> tuple[int, int]:
+        """The largest task and result a worker's pipes carry for one
+        ``N = 1`` image, from the model: the image's whole tile stack, and
+        the worst-case batch result — every tile's raw float32 output or the
+        bound of one packed stream over it, whichever is larger.  A larger
+        frame is still correct; it crosses the pipe in pieces."""
+        tiles = split_array(np.zeros((1, *self.model.input_shape), np.float32), self.grid)
+        shapes = [self._tile_output_shape(t) for t in tiles]
+        n_out = sum(int(np.prod(shape)) for shape in shapes)
+        result = n_out * 4
+        if self.pipeline is not None:
+            result = max(result, max_packed_nbytes(
+                n_out, len(shapes[0]), self.pipeline.bits, self.pipeline.run_bits))
+        return sum(t.nbytes for t in tiles), result
 
     def _spawn(self, worker_id: int) -> mp.Process:
         # Fresh pipes for every incarnation, opened right before the fork;
@@ -389,7 +379,6 @@ class ProcessCluster:
                 self.pipeline,
                 channel,
                 self._delays[worker_id],
-                self._endpoint.worker_endpoint(worker_id),
             ),
             daemon=True,
         )
@@ -414,9 +403,6 @@ class ProcessCluster:
                 proc.join(timeout=5.0)
         self._procs.clear()
         self._known_dead.clear()
-        # The Central process created every segment, so it unlinks every
-        # segment — exactly once, after all workers are gone.
-        self._endpoint.close()
 
     def kill_worker(self, worker_id: int) -> None:
         """Fail-stop a Conv node mid-run (fault-injection for tests)."""
@@ -525,10 +511,8 @@ class ProcessCluster:
         return tuple(alive)
 
     def _respawn(self, worker_id: int) -> None:
-        # _spawn hands the successor fresh pipes and a fresh transport
-        # endpoint (fresh result ring + fresh semaphore: the dead incarnation
-        # may have died holding a permit).  Its predecessor's unread tasks go
-        # with the old pipe; re-dispatch already covered them.
+        # _spawn hands the successor fresh pipes.  Its predecessor's unread
+        # tasks go with the old pipe; re-dispatch already covered them.
         self._procs[worker_id] = self._spawn(worker_id)
         self._restart_counts[worker_id] += 1
         self._restart_at[worker_id] = None
@@ -570,21 +554,8 @@ class ProcessCluster:
         self, node: int, image_id: int, tile_ids: Sequence[int], st: _ImageState, probe: bool = False
     ) -> None:
         """Queue one batch onto a worker (first dispatch or fault re-dispatch):
-        one task message, whatever the tile count."""
-        if self._endpoint.needs_ring(node):
-            # First work for this incarnation: size its result slots for a
-            # whole image's worst case — the raw float32 output or the bound
-            # of one packed stream over it, whichever is larger — so any
-            # batch fits one slot.
-            out_shape = self._tile_output_shape(st["tiles"][0])
-            n_out = int(np.prod(out_shape)) * len(st["tiles"])
-            nbytes = n_out * 4
-            if self.pipeline is not None:
-                nbytes = max(nbytes, max_packed_nbytes(
-                    n_out, len(out_shape), self.pipeline.bits, self.pipeline.run_bits))
-            grant = self._endpoint.grant_ring(node, nbytes)
-            if grant is not None:
-                self._channels[node].send(grant)
+        one task message, whatever the tile count, carrying the batch's
+        tiles stacked in ``tile_ids`` order."""
         # The task carries the request's frozen trace context across the IPC
         # boundary; the worker echoes it back on the BatchResult (§5h).
         scope = st["scope"]
@@ -592,8 +563,9 @@ class ProcessCluster:
         st["assignment"].update(dict.fromkeys(tile_ids, node))
         if self.telemetry.enabled:
             st["enqueued"][tuple(tile_ids)] = time.perf_counter()
+        block = np.concatenate([st["tiles"][t] for t in tile_ids])
         self._channels[node].send(
-            self._endpoint.task(image_id, tile_ids, st["tiles"], probe=probe, trace=trace)
+            BatchTask(image_id, tuple(tile_ids), block, probe=probe, trace=trace)
         )
 
     # -------------------------------------------------------------- inference
@@ -663,15 +635,11 @@ class ProcessCluster:
         return [outcomes[i] for i in range(len(batch))]
 
     def _finalize(self, image_id: int, inflight: dict[int, _ImageState]) -> InferenceOutcome:
-        """Merge one image: reclaim slots, zero-fill, rest layers, telemetry."""
+        """Merge one image: zero-fill, rest layers, telemetry."""
         tel = self.telemetry
         st = inflight.pop(image_id)
         trig = st["trigger"]
         assert trig is not None, "only a triggered image is finalized"
-        # Reclaim the image's task slot.  A straggler worker may later read
-        # the recycled slot and return garbage — harmless, because its
-        # result carries this (now-retired) image_id and gets dropped.
-        self._endpoint.release_task(image_id)
         t_merge = time.perf_counter()
         out_tiles, missing = self._materialize_tiles(st["tiles"], st["batches"], st["results"])
         feature_map = reassemble_array(out_tiles, self.grid)
@@ -722,15 +690,16 @@ class ProcessCluster:
         )
         return outcome
 
-    def result_readers(self) -> list[Any]:
-        """File descriptors of the open result pipes.
+    def wait_set(self) -> list[tuple[int, int]]:
+        """``(fd, poll events)`` pairs this cluster's idle wait polls: every
+        open result pipe, and every task pipe whose outbox holds a frame.
 
         Exposed so multi-cluster drivers (:class:`repro.sharding.ClusterRouter`)
-        can park on *every* shard's result pipes in one
-        :func:`multiprocessing.connection.wait` call instead of polling
-        clusters round-robin.
+        can park on *every* shard's pipes in one ``poll`` instead of polling
+        clusters round-robin, and wake when a result arrives or a task frame
+        can move on.
         """
-        return self._channels.readers()
+        return self._channels.wait_set()
 
     def _wait_results(self, timeout: float) -> bool:
         """Block until a result pipe is readable or a task outbox can move,
@@ -816,31 +785,21 @@ class ProcessCluster:
         arrived: list[BatchResult] = self._channels.receive()
         for res in arrived:
             recv = time.perf_counter() if tel.enabled else 0.0
-            node = f"worker{res.worker}"
-            if res.ring_fallback:
-                # The worker wanted a ring slot but every permit was
-                # held here — back-pressure made it ship inline.
-                tel.count("adcnn_result_ring_fallback_total", node=node)
-            if res.dropped:
-                # The worker could not attach the batch's shm slot
-                # (unlinked mid-shutdown) — no tile was computed.
-                # Count them and leave the tiles unanswered so the normal
-                # re-dispatch/zero-fill machinery covers them.
-                tel.count("adcnn_worker_dropped_tasks_total", len(res.tile_ids), node=node)
-                continue
-            # Materialize BEFORE any accept/drop decision: even a batch
-            # we end up dropping must have its semaphore permit returned,
-            # or the worker's ring shrinks by one slot forever.
-            try:
-                payload = self._endpoint.materialize(res)
-            except Exception:
-                # Corrupt result bytes: unanswered like a dropped batch,
-                # but counted so T_L is not the only trace of it.
-                tel.count("adcnn_result_corrupt_total", len(res.tile_ids), node=node)
-                continue
+            payload: PackedTensor | np.ndarray = res.payload
+            if res.payload.dtype == np.uint8:  # the batch's packed codec stream
+                try:
+                    stream = PackedStream.from_buffer(res.payload)
+                except ValueError:
+                    # Corrupt result bytes: the tiles stay unanswered (they
+                    # follow re-dispatch or zero-fill), but counted so T_L
+                    # is not the only trace of it.
+                    tel.count("adcnn_result_corrupt_total", len(res.tile_ids),
+                              node=f"worker{res.worker}")
+                    continue
+                payload = PackedTensor(stream, raw_bits=32 * stream.num_elements)
             target = inflight.get(res.image_id)
-            if payload is None or target is None:
-                continue  # replaced worker incarnation, or stale image
+            if target is None:
+                continue  # stale image
             results = target["results"]
             new = {tid: row for row, tid in enumerate(res.tile_ids) if tid not in results}
             if not new:
@@ -946,9 +905,8 @@ class StreamEngine:
       the result pipes — never a fixed sleep — so results wake it instantly.
 
     The engine holds no OS resources of its own; abandoning one mid-stream
-    leaks nothing (in-flight bookkeeping is reclaimed by ``stop()``'s arena
-    teardown), but the owning cluster's controller window stays occupied by
-    any images never pumped to completion.
+    leaks nothing, but the owning cluster's controller window stays occupied
+    by any images never pumped to completion.
     """
 
     def __init__(self, cluster: ProcessCluster, window: int = 2) -> None:
@@ -999,7 +957,6 @@ class StreamEngine:
                 trace = cluster.mint_trace(t_partition)
             scope = TraceScope.from_context(trace)
         tiles = split_array(image, cluster.grid)
-        cluster._endpoint.size_task_arena(tiles, cluster._controller.window)
         now = time.monotonic()
         cmds = cluster._controller.handle(ImageReady(now, image_id, len(tiles), alive))
         start = time.perf_counter()

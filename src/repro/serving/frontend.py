@@ -24,7 +24,7 @@ decision logic (DESIGN.md §5g):
   accounting against a configurable SLO.
 - :meth:`ServingFrontEnd.stop` drains gracefully: admission closes first,
   everything already admitted finishes (bounded by ``drain_timeout``),
-  then the cluster's processes and arenas are torn down.
+  then the cluster's processes and pipes are torn down.
 
 Thread model: ``submit`` may be called from any thread; all engine calls
 happen on the one driver thread; completion flows back through

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -154,7 +154,7 @@ class ProcessClusterHandle:
     Built from a zero-argument *factory* rather than an instance, so the
     router's supervision can tear a failed cluster down and build a fresh
     incarnation (:meth:`restart`) — the same recipe every time, fresh
-    processes and arenas.
+    processes and pipes.
     """
 
     def __init__(
@@ -284,11 +284,11 @@ class ProcessClusterHandle:
     def pump(self, block: bool = True) -> list[tuple[int, "InferenceOutcome | ShardFailure"]]:
         return list(self._require_engine().pump(block))
 
-    def result_readers(self) -> list[Any]:
-        """Waitable connections for the router's cross-shard idle wait."""
+    def wait_set(self) -> list[tuple[int, int]]:
+        """``(fd, poll events)`` pairs for the router's cross-shard idle wait."""
         if not self.alive() or self._cluster is None:
             return []
-        return self._cluster.result_readers()
+        return self._cluster.wait_set()
 
     # ---------------------------------------------------------- introspection
     def validate_image(self, image: np.ndarray) -> np.ndarray:

@@ -28,11 +28,10 @@ the exact driver loop it uses for one cluster.
 from __future__ import annotations
 
 import itertools
+import select
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-from typing import Any
 
 import numpy as np
 
@@ -78,7 +77,7 @@ class RouterConfig:
     #: Times one image may be re-routed to a sibling before it resolves as
     #: a :class:`ShardFailure`.
     max_reroutes: int = 2
-    #: Idle-wait bound when no shard has a readable result pipe (seconds).
+    #: Idle-wait bound when no shard's pipe becomes ready (seconds).
     poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
@@ -118,7 +117,7 @@ class ClusterRouter:
     Thread model matches :class:`~repro.runtime.process_backend.StreamEngine`:
     all calls from one driver thread.  The router keeps each in-flight
     image's original array precisely so whole-cluster death is survivable —
-    the cluster tier's shm slots and queues die with the cluster, but the
+    the cluster tier's pipes die with the cluster, but the
     router can re-dispatch from its own copy.
     """
 
@@ -392,9 +391,10 @@ class ClusterRouter:
 
         Outcomes are :class:`InferenceOutcome` on success and
         :class:`ShardFailure` for images supervision gave up on.  When
-        ``block`` and nothing finished, parks on *all* shards' result pipes
-        at once (bounded by ``poll_interval`` and the earliest pending
-        restart), so a result anywhere wakes the driver immediately.
+        ``block`` and nothing finished, parks on *all* shards' pipes at once
+        (bounded by ``poll_interval`` and the earliest pending restart), so
+        a result anywhere, or room for a queued task frame, wakes the driver
+        immediately.
         """
         done: list[tuple[int, InferenceOutcome | ShardFailure]] = []
         self._supervise()
@@ -433,21 +433,23 @@ class ClusterRouter:
         for at in self._restart_at:
             if at is not None:
                 timeout = min(timeout, max(at - now, 0.0))
-        readers: list[Any] = []
+        poller = select.poll()
+        waiting = False
         for idx, handle in enumerate(self._handles):
             if self._state[idx] not in (STATE_UP, STATE_PROBATION):
                 continue
-            collect = getattr(handle, "result_readers", None)
-            if callable(collect):
-                readers.extend(collect())
-        if not readers:
+            wait_set = getattr(handle, "wait_set", None)
+            if callable(wait_set):
+                for fd, events in wait_set():
+                    poller.register(fd, events)
+                    waiting = True
+        if not waiting:
             if timeout > 0:
                 time.sleep(timeout)
             return
-        try:
-            mp_connection.wait(readers, timeout=timeout)
-        except OSError:
-            pass  # a shard tore down mid-wait; the next sweep notices
+        # Wakes on a result anywhere, or on room for a shard's queued task
+        # frame: a frame larger than its pipe moves one pipe-full per wake.
+        poller.poll(timeout * 1000.0)
 
     # ------------------------------------------------------------ supervision
     def _supervise(self) -> None:

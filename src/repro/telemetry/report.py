@@ -124,18 +124,12 @@ _COUNTERS = (
     "adcnn_worker_restarts_total",
     "adcnn_deadline_triggers_total",
     # Open-loop serving (repro.serving / run_open_loop, DESIGN.md §5g):
-    # admitted vs shed shows where load control kicked in; ring fallbacks
-    # count result-slot exhaustion under back-pressure.
+    # admitted vs shed shows where load control kicked in.
     "adcnn_serving_admitted_total",
     "adcnn_serving_shed_total",
     "adcnn_serving_slo_miss_total",
-    "adcnn_result_ring_fallback_total",
     "adcnn_arrivals_total",
     "adcnn_shed_total",
-    # Worker-side drops: poisoned/undecodable tasks the hot loop discarded
-    # rather than crash on (§IV fault tolerance); nonzero means input or
-    # shm corruption, not load shedding.
-    "adcnn_worker_dropped_tasks_total",
     # Result batches whose bytes did not parse at the Central node (counted
     # per tile); their tiles stay unanswered until re-dispatch or T_L.
     "adcnn_result_corrupt_total",

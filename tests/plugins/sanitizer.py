@@ -6,10 +6,10 @@ resources the runtime manipulates:
 - **child processes** — ``multiprocessing.active_children()``; a cluster
   that is not stopped leaves its forked Conv nodes behind;
 - **POSIX shm segments and named semaphores** — new ``/dev/shm`` entries
-  (``psm_*`` segments, ``sem.*`` semaphores on Linux/glibc); an arena that
-  is never destroyed leaves its slots behind;
-- **file descriptors** — ``/proc/self/fd`` count (queue pipes, shm
-  mappings); a small tolerance absorbs interpreter-level caching.
+  (``psm_*`` segments, ``sem.*`` semaphores on Linux/glibc); the runtime
+  creates none, so any new entry is a leak;
+- **file descriptors** — ``/proc/self/fd`` count (worker pipes); a small
+  tolerance absorbs interpreter-level caching.
 
 A leak fails the test in its *call* phase (so ``xfail(strict=True)`` demo
 tests cover the sanitizer itself), then the sanitizer cleans the leak up so
@@ -37,7 +37,7 @@ FD_DIR = "/proc/self/fd"
 
 #: Allowed fd-count growth per test.  Legitimate one-time growth exists
 #: (hypothesis opens its example database lazily, imports cache file
-#: handles); real leaks — queue pipes, shm mappings — come in bigger
+#: handles); real leaks — worker pipes — come in bigger
 #: batches and recur.
 FD_TOLERANCE = 4
 

@@ -185,7 +185,7 @@ class TestRenderTop:
             ),
             in_flight=2,
             window=2,
-            transport="shm",
+            transport="pipe",
             images_dispatched=5,
         )
         snap = QuantileSnapshot(count=4, p50=0.010, p95=0.020, p99=0.030)
@@ -205,7 +205,7 @@ class TestRenderTop:
         out = render_top(health, status, clock=lambda: 0.0)
         assert "worker0" in out and "DOWN" in out and "restarts=3" in out
         assert "1/2 alive" in out
-        assert "transport=shm  blas_threads=?" in out  # default 0 = unknown
+        assert "transport=pipe  blas_threads=?" in out  # default 0 = unknown
         pinned = dataclasses.replace(health, blas_threads=1)
         assert "blas_threads=1" in render_top(pinned, clock=lambda: 0.0)
         assert "queue=1/8" in out and "submitted=6" in out
@@ -240,7 +240,7 @@ class TestLiveSnapshotsIntegration:
         assert health.healthy and len(health.nodes) == 2
         assert [n.node for n in health.nodes] == ["worker0", "worker1"]
         assert all(n.alive and n.restarts == 0 for n in health.nodes)
-        assert health.transport == "shm" and health.window == 2
+        assert health.transport == "pipe" and health.window == 2
         assert status.admitting and status.queue_capacity == 4
         assert status.submitted == 3 and status.completed == 3 and status.shed == 0
         assert status.clients == ("cam0",)

@@ -44,16 +44,6 @@ def test_rl002_queue_put_fixture():
     assert len(found) == 4
 
 
-def test_rl003_shm_pairing_fixture():
-    found = violations_in(FIXTURES / "runtime" / "bad_shm.py")
-    assert ("RL003", 7) in found  # direct SharedMemory construction
-    assert ("RL003", 11) in found  # acquire never released/stored
-    assert ("RL003", 17) in found  # unlink without close
-    # The CFG-based lifecycle rule sees the same unresolved acquire.
-    assert ("RL014", 11) in found
-    assert len(found) == 4
-
-
 def test_rl004_telemetry_fixture():
     found = violations_in(FIXTURES / "runtime" / "bad_telemetry.py")
     assert ("RL004", 5) in found  # span name outside the schema

@@ -1,6 +1,6 @@
 """The whole-program analyzer (DESIGN.md §5j): ProjectGraph resolution,
-the cross-module rules RL011–RL015 against their fixture packages, the
-CFG-based RL014, the incremental cache, baselines, and SARIF output.
+the cross-module rules RL011–RL013 and RL015 against their fixture
+packages, the incremental cache, baselines, and SARIF output.
 
 Fixture packages live under ``tests/_lint_fixtures`` and are linted by
 explicit file list — directory walks exclude that tree by design.
@@ -134,12 +134,13 @@ def test_rl012_fires_on_real_tree_when_field_read_removed(tmp_path):
     for f in runtime.glob("*.py"):
         text = f.read_text(encoding="utf-8")
         if f.name == "process_backend.py":
-            assert "ring_fallback" in text
-            text = text.replace(".ring_fallback", ".ring_fallback_unused")
+            assert ".compress_seconds" in text
+            text = text.replace(".compress_seconds", ".compress_seconds_unused")
         (shadow / f.name).write_text(text, encoding="utf-8")
     result = analyze_paths([str(shadow)], select=["RL012"])
     assert any(
-        v.code == "RL012" and "ring_fallback" in v.message for v in result.violations
+        v.code == "RL012" and "BatchResult.compress_seconds" in v.message
+        for v in result.violations
     )
 
 
@@ -155,21 +156,6 @@ def test_rl013_flags_blocking_calls_reachable_from_coroutines():
     assert ("bad_async.py", 16, "RL013") in found  # time.sleep two calls down
     assert ("bad_async.py", 21, "RL013") in found  # queue get in a helper
     assert len(found) == 2
-
-
-# ------------------------------------------------------- RL014 shm lifecycle
-def test_rl014_clean_on_resolved_lifecycle_fixture():
-    good = FIXTURES / "repro" / "runtime" / "good_shm_lifecycle.py"
-    assert check([good], select=["RL014"]) == []
-
-
-def test_rl014_flags_early_return_leak():
-    bad = FIXTURES / "repro" / "runtime" / "bad_shm_lifecycle.py"
-    found = check([bad], select=["RL014"])
-    assert found == [("bad_shm_lifecycle.py", 10, "RL014")]
-    # The syntactic RL003 pairing rule cannot see this leak (the happy
-    # path stores the slot), which is exactly why RL014 exists.
-    assert check([bad], select=["RL003"]) == []
 
 
 # ------------------------------------------------------- RL015 metric orphans
@@ -275,19 +261,22 @@ def test_missing_baseline_is_empty(tmp_path):
 
 
 # ------------------------------------------------------------------- SARIF
+#: A fixture with exactly one finding: RL007 at line 3.
+ONE_FINDING = FIXTURES / "repro" / "nn" / "bad_import_effects.py"
+
+
 def test_sarif_structure():
-    bad = FIXTURES / "repro" / "runtime" / "bad_shm_lifecycle.py"
-    result = analyze_paths([str(bad)], select=["RL014"])
+    result = analyze_paths([str(ONE_FINDING)], select=["RL007"])
     log = to_sarif(result, default_rules())
     assert log["version"] == "2.1.0"
     (run,) = log["runs"]
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert "RL014" in rule_ids
+    assert "RL007" in rule_ids
     (finding,) = run["results"]
-    assert finding["ruleId"] == "RL014"
+    assert finding["ruleId"] == "RL007"
     loc = finding["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"].endswith("bad_shm_lifecycle.py")
-    assert loc["region"]["startLine"] == 10
+    assert loc["artifactLocation"]["uri"].endswith("bad_import_effects.py")
+    assert loc["region"]["startLine"] == 3
     assert loc["region"]["startColumn"] >= 1
 
 
@@ -295,9 +284,9 @@ def test_cli_sarif_output(tmp_path):
     out = tmp_path / "lint.sarif"
     code = main(
         [
-            str(FIXTURES / "repro" / "runtime" / "bad_shm_lifecycle.py"),
+            str(ONE_FINDING),
             "--select",
-            "RL014",
+            "RL007",
             "--format",
             "sarif",
             "--output",
@@ -306,20 +295,20 @@ def test_cli_sarif_output(tmp_path):
     )
     assert code == 1
     log = json.loads(out.read_text())
-    assert log["runs"][0]["results"][0]["ruleId"] == "RL014"
+    assert log["runs"][0]["results"][0]["ruleId"] == "RL007"
 
 
 # --------------------------------------------------------------------- CLI
 def test_cli_write_baseline_then_clean(tmp_path):
-    bad = FIXTURES / "repro" / "runtime" / "bad_shm_lifecycle.py"
+    bad = ONE_FINDING
     baseline = tmp_path / "baseline.json"
     assert (
-        main([str(bad), "--select", "RL014", "--baseline", str(baseline), "--write-baseline"])
+        main([str(bad), "--select", "RL007", "--baseline", str(baseline), "--write-baseline"])
         == 0
     )
-    assert main([str(bad), "--select", "RL014", "--baseline", str(baseline)]) == 0
+    assert main([str(bad), "--select", "RL007", "--baseline", str(baseline)]) == 0
     # Without the baseline the finding still gates.
-    assert main([str(bad), "--select", "RL014"]) == 1
+    assert main([str(bad), "--select", "RL007"]) == 1
 
 
 def test_cli_write_baseline_requires_path():

@@ -222,8 +222,8 @@ class TestLifecycleAndValidation:
             BatchTask(-1, (0,), block)
         with pytest.raises(ValueError):
             BatchTask(0, (), block)  # an empty batch is not a message
-        with pytest.raises(ValueError):
-            BatchTask(0, (0,))  # neither an inline block nor a slot
+        with pytest.raises(TypeError):
+            BatchTask(0, (0,))  # a batch carries its tiles
 
     def test_unbatched_input_accepted(self):
         model = small_model()
@@ -285,14 +285,13 @@ class TestWorkerCoalescing:
 
         from repro.runtime.messages import Shutdown
         from repro.runtime.process_backend import _worker_loop
-        from repro.runtime.transport import CentralChannels, WorkerEndpoint
+        from repro.runtime.transport import CentralChannels
 
         channels = CentralChannels(1)
         worker = channels.open(0)
-        endpoint = WorkerEndpoint(None)  # no result ring: every result inline
         proc = mp.get_context("fork").Process(
             target=_worker_loop,
-            args=(0, model.separable_part(), pipeline, worker, delay, endpoint),
+            args=(0, model.separable_part(), pipeline, worker, delay),
             daemon=True,
         )
         proc.start()
@@ -302,12 +301,13 @@ class TestWorkerCoalescing:
         channels[0].send(Shutdown())
         results = []
         deadline = time.monotonic() + 30
-        while channels.readers() and time.monotonic() < deadline:  # until EOF
+        while channels[0].result_fd >= 0 and time.monotonic() < deadline:  # until EOF
             channels.wait(1.0)
             results.extend(channels.receive())
+        assert channels[0].result_fd < 0
         proc.join(timeout=5)
         channels.close()
-        assert proc.exitcode == 0 and not channels.readers()
+        assert proc.exitcode == 0 and channels.wait_set() == []
         return results
 
     @staticmethod
@@ -322,12 +322,9 @@ class TestWorkerCoalescing:
 
     @staticmethod
     def _payloads(res):
-        """Split one inline (raw) batch result into its tiles' rows, the way
-        the Central node's merge does."""
-        from repro.runtime.transport import CentralEndpoint
-
-        block = CentralEndpoint(None, 1).materialize(res)
-        return np.split(block, len(res.tile_ids))
+        """Split one raw batch result into its tiles' rows, the way the
+        Central node's merge does."""
+        return np.split(res.payload, len(res.tile_ids))
 
     def test_coalesced_batch_matches_per_tile_reference(self):
         """One stacked forward over the batch == per-tile forwards, and the
@@ -345,12 +342,12 @@ class TestWorkerCoalescing:
     def test_batch_is_one_codec_stream(self):
         """With the pipeline on, the batch ships as one packed stream of the
         stacked output, and its rows decode to each tile's own round trip."""
-        from repro.runtime.transport import CentralEndpoint
-
         model, pipe = small_model(), CompressionPipeline(bits=4)
         tiles = self._tiles()
         (res,) = self._run_worker(model, [self._batch(0, range(4), tiles)], pipeline=pipe)
-        packed = CentralEndpoint(None, 1).materialize(res)
+        assert res.payload.dtype == np.uint8
+        _, st, _ = _sweep([res])  # Central parses the stream as it accepts it
+        (packed,) = st["batches"]
         sep = model.separable_part()
         sep.eval()
         with nn.no_grad():
@@ -408,29 +405,6 @@ class TestWorkerCoalescing:
                 for tile_id, out in zip(res.tile_ids, self._payloads(res)):
                     np.testing.assert_array_equal(out, sep(Tensor(tiles[tile_id])).data)
 
-    def test_unattachable_slot_yields_dropped_marker(self):
-        """A slot unlinked under the worker produces a counted marker, not
-        a silent skip, and does not poison the next batch."""
-        from repro.runtime.shm_arena import ShmRef
-
-        model = small_model()
-        tiles = self._tiles()
-        bogus = ShmRef(
-            name="adcnn_test_unlinked_slot",
-            nbytes=4 * tiles[0].nbytes,
-            shape=(4, *tiles[0].shape),
-            dtype="float32",
-        )
-        tasks = [BatchTask(0, (1, 2), slot=bogus), self._batch(0, (0,), tiles)]
-        dropped, good = self._run_worker(model, tasks)
-        assert dropped.dropped and dropped.payload is None and dropped.tile_ids == (1, 2)
-        assert not good.dropped
-        sep = model.separable_part()
-        sep.eval()
-        with nn.no_grad():
-            (out,) = self._payloads(good)
-            np.testing.assert_array_equal(out, sep(Tensor(tiles[0])).data)
-
     def test_partial_duplicate_batch_credits_only_new_tiles(self):
         """A batch two of whose four tiles were already answered (the
         re-dispatch race) lands once, for its two new tiles: one
@@ -444,19 +418,6 @@ class TestWorkerCoalescing:
         assert st["busy"].tolist() == [0.0, 0.5]
         assert st["results"] == {1: (0, 0), 2: (0, 1), 0: (1, 0), 3: (1, 3)}
         assert len(st["batches"]) == 2
-
-    def test_sweep_counts_dropped_results(self):
-        """The collect loop counts a dropped marker once per tile and leaves
-        the tiles unanswered (no entry lands in any image's results)."""
-        from repro.runtime.messages import BatchResult
-        from repro.telemetry import TelemetryRecorder
-
-        tel = TelemetryRecorder()
-        cluster = ProcessCluster(small_model(), TileGrid(2, 2), telemetry=tel)
-        _post(cluster, [BatchResult(image_id=0, tile_ids=(0, 1, 2), payload=None, worker=0, dropped=True)])
-        assert cluster._sweep_results({}) is True
-        cluster._channels.close()
-        assert tel.metrics.counter_total("adcnn_worker_dropped_tasks_total") == 3.0
 
     def test_sweep_counts_corrupt_results(self):
         """Result bytes that do not parse are counted per tile under their

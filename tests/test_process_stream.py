@@ -82,48 +82,6 @@ class TestInferStream:
 class TestHotLoopFixes:
     """Regression tests for the ISSUE 6 hot-loop latency bugfixes."""
 
-    def test_stage_result_ring_full_is_nonblocking(self):
-        """A full result ring must fall back inline immediately — the old
-        code parked the worker on ``acquire(timeout=0.25)`` per tile."""
-        import multiprocessing as mp
-
-        from repro.runtime.messages import ArenaGrant
-        from repro.runtime.transport import WorkerEndpoint
-
-        block = np.ones((8, 8), dtype=np.float32)
-        sem = mp.get_context("fork").Semaphore(0)  # ring exhausted
-        endpoint = WorkerEndpoint(sem)
-        endpoint.accept(ArenaGrant(("bogus-slot",), 1 << 20))
-        t0 = time.perf_counter()
-        out, ring_fallback = endpoint.stage_result(block)
-        elapsed = time.perf_counter() - t0
-        assert out is block  # shipped inline, not as a ShmRef
-        assert ring_fallback  # reported so telemetry can count it
-        assert elapsed < 0.1, f"ring-full probe blocked for {elapsed:.3f}s"
-
-    def test_stage_result_oversized_payload_not_a_fallback(self):
-        """Batches that never fit a slot are inline by design, not ring
-        exhaustion — they must not inflate the fallback counter."""
-        import multiprocessing as mp
-
-        from repro.runtime.messages import ArenaGrant
-        from repro.runtime.transport import WorkerEndpoint
-
-        block = np.ones((8, 8), dtype=np.float32)
-        sem = mp.get_context("fork").Semaphore(1)
-        endpoint = WorkerEndpoint(sem)
-        endpoint.accept(ArenaGrant(("bogus-slot",), 16))  # slot smaller than the batch
-        out, ring_fallback = endpoint.stage_result(block)
-        assert out is block
-        assert not ring_fallback
-        assert sem.acquire(block=False)  # the permit was never taken
-
-    def test_tile_result_carries_ring_fallback_flag(self):
-        from repro.runtime import BatchResult
-
-        res = BatchResult(image_id=0, tile_ids=(0,), payload=None, worker=0)
-        assert res.ring_fallback is False
-
     def test_wait_results_blocks_then_wakes(self):
         """The idle wait must block on the result pipes (no 5 ms sleep
         floor) and wake as soon as any worker posts a result."""

@@ -258,7 +258,7 @@ class TestProcessClusterHandle:
                 handle.dispatch(make_image())
             with pytest.raises(ClusterDown):
                 handle.pump()
-            assert handle.result_readers() == []
+            assert handle.wait_set() == []
 
     def test_restart_builds_fresh_incarnation(self):
         handle = make_cluster_handle(
@@ -396,6 +396,28 @@ class TestClusterRouter:
         trees = assemble_traces(tel.events)
         complete = [t for t in trees.values() if t.complete]
         assert len(complete) == len(ids)
+
+
+# ================================================================ idle wait
+class TestRouterIdleWait:
+    def test_task_frames_larger_than_the_pipe_never_wait_for_poll_interval(self, monkeypatch):
+        """With default-sized pipes, a task frame larger than the pipe
+        crosses in pieces, each needing room the worker makes by reading.
+        The router's idle wait must wake for that room as it does for a
+        result, so no image waits for ``poll_interval`` (5 s here)."""
+        monkeypatch.setattr("repro.runtime.transport._size_pipe", lambda fd, nbytes: None)
+        model = vgg_mini(num_classes=3, input_size=128, base_width=6, separable_prefix=2).eval()
+        images = [RNG.normal(size=(1, 3, 128, 128)).astype(np.float32) for _ in range(4)]
+        assert images[0].nbytes > 1 << 16  # one worker per shard: the task is the whole image
+        router = build_router(model, TileGrid(2, 2), two_shard_spec(poll_interval=5.0))
+        with router:
+            for img in images:
+                t0 = time.monotonic()
+                router.dispatch(img)
+                (outcome,) = [o for _, o in pump_until(router, 1, timeout=30.0)]
+                assert time.monotonic() - t0 < 1.0
+                assert outcome.zero_filled_tiles == []
+            assert [s.cluster.images_dispatched for s in router.health().shards] == [2, 2]
 
 
 # ===================================================== frontend failover (§5k)
